@@ -29,7 +29,7 @@ from .ideals import (
     trace,
 )
 from .semigroup import SemigroupData, sieve
-from .series import INF, PolyExpr, TruncatedSeries, parse_poly, parse_series
+from .series import INF, TruncatedSeries, parse_poly, parse_series
 
 __all__ = [
     "BranchSpec",
@@ -38,7 +38,6 @@ __all__ = [
     "FractionalIdeal",
     "INF",
     "InverseData",
-    "PolyExpr",
     "RingData",
     "SemigroupData",
     "TruncatedSeries",

@@ -24,33 +24,24 @@ from .errors import (
     OrderUndetectable,
     TruncationExhausted,
 )
-from .series import PolyExpr, TruncatedSeries, monomials, parse_poly
+from .series import TruncatedSeries, monomials, parse_poly
 
 DEFAULT_MAX_TRUNCATION = 4096
 
 
 @dataclass(frozen=True)
 class BranchSpec:
-    """A branch given by polynomial parametrizations x_i(t)."""
+    """A branch given by polynomial parametrizations x_i(t), each known exactly."""
 
-    generators: tuple[PolyExpr, ...]
-    labels: tuple[str, ...] | None = None
+    generators: tuple[TruncatedSeries, ...]
     name: str | None = None
 
     @classmethod
     def from_strings(cls, texts: Sequence[str], name: str | None = None) -> "BranchSpec":
         return cls(tuple(parse_poly(s) for s in texts), name=name)
 
-    def series(self) -> tuple[TruncatedSeries, ...]:
-        return tuple(g.to_series() for g in self.generators)
-
-    def label(self, i: int) -> str:
-        if self.labels and i < len(self.labels):
-            return self.labels[i]
-        return f"generator {i + 1} ({self.generators[i]})"
-
     def max_degree(self) -> int:
-        return max(int(g.to_series().degree()) for g in self.generators)
+        return max(int(g.degree()) for g in self.generators)
 
 
 @dataclass(eq=False)
@@ -92,13 +83,13 @@ class _NeedsTruncation(InsufficientTruncation):
 
 
 def _validate(spec: BranchSpec) -> tuple[TruncatedSeries, ...]:
-    gens = spec.series()
+    gens = spec.generators
     if not gens:
         raise NonPositiveValuationGenerator("a branch needs at least one generator")
     for i, g in enumerate(gens):
         if g.is_zero() or g.valuation() < 1:
             raise NonPositiveValuationGenerator(
-                f"{spec.label(i)} must be nonconstant with valuation >= 1"
+                f"generator {i + 1} ({g}) must be nonconstant with valuation >= 1"
             )
     if len(gens) == 1:
         v = int(gens[0].valuation())
@@ -129,10 +120,6 @@ def _certify_conductor(achieved: set[int], limit: int, e: int) -> int | None:
     return t
 
 
-def _m_power_seed(gens: Sequence[TruncatedSeries], d: int) -> list[TruncatedSeries]:
-    return monomials(gens, d)
-
-
 def m_power_basis(ring: RingData, d: int) -> EchelonBasis:
     """Echelon basis of m^d mod t^N (d=0 gives the ring itself), tail certified."""
     if d in ring._mpow:
@@ -143,11 +130,11 @@ def m_power_basis(ring: RingData, d: int) -> EchelonBasis:
         basis = ring.ring_basis
     elif d == 1:
         rows = {v: r for v, r in ring.ring_basis._rows.items() if v != 0}
-        basis = EchelonBasis(N, 1, rows).with_tail(max(c, 1))
+        basis = EchelonBasis(N, rows).with_tail(max(c, 1))
     else:
         if c + d * e >= N:
             raise _NeedsTruncation(f"m^{d} needs truncation above {c + d * e}", kind="order")
-        basis = close_under(_m_power_seed(ring.generators, d), ring.generators, N)
+        basis = close_under(monomials(ring.generators, d), ring.generators, N)
         basis = basis.with_tail(c + d * e)
     ring._mpow[d] = basis
     return basis
@@ -255,6 +242,8 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
     gens = _validate(spec)
     maxdeg = spec.max_degree()
     N = initial_truncation if initial_truncation else max(64, 4 * maxdeg + 16)
+    if N > max_truncation:
+        raise TruncationExhausted(f"truncation {N} is above the cap {max_truncation}")
 
     ring = None
     gcd_seen = 0
@@ -277,7 +266,11 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
             N *= 2
 
     if verify_stability:
-        double = _analyze_at(spec, gens, 2 * N, max(max_truncation, 2 * N))
+        if 2 * N > max_truncation:
+            raise TruncationExhausted(
+                f"doubling verification needs truncation {2 * N}, above the cap {max_truncation}"
+            )
+        double = _analyze_at(spec, gens, 2 * N, max_truncation)
         same = (
             double.gaps == ring.gaps
             and double.embdim_n == ring.embdim_n
@@ -295,12 +288,13 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
 
 
 def ensure_truncation(ring: RingData, needed: int) -> RingData:
-    """Re-analyze at a larger truncation when downstream work needs more room."""
+    """Re-analyze at a larger truncation when downstream work needs more room;
+    the ring's truncation cap still holds."""
     if ring.truncation >= needed:
         return ring
     return analyze(
         ring.spec,
         initial_truncation=needed,
         verify_stability=ring.stable,
-        max_truncation=max(ring.max_truncation, 2 * needed),
+        max_truncation=ring.max_truncation,
     )

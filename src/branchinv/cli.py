@@ -12,8 +12,16 @@ the branch.  Ideal files use the same layout plus an optional ``shift: k``
 header: every generator is multiplied by t^(-k), which is how elements with
 negative valuation are written.
 
-Exit codes: 0 for any completed analysis (whatever the verdict), 2 for input
-errors, 3 when no certified truncation below the cap exists.
+Exit codes:
+
+    0   the analysis completed (whatever the verdict)
+    2   input error: unreadable file, parse error (parentheses nest at most
+        100 deep), invalid or imprimitive parametrization
+    3   no certified analysis fits under ``--max-truncation`` (default 4096);
+        the cap holds for the first truncation, every retry, the doubling
+        verification and the re-analysis that the derivative module needs
+    4   two independent routes to the same quantity disagreed
+        (``InternalInconsistency``); no results are reported
 """
 
 from __future__ import annotations
@@ -27,7 +35,13 @@ from . import __version__
 from .berger import RULES, Verdict, verdict
 from .branch import BranchSpec, RingData, analyze
 from .differentials import DifferentialData, compute
-from .errors import BranchInvError, GcdNotOne, ParseError, TruncationExhausted
+from .errors import (
+    BranchInvError,
+    GcdNotOne,
+    InternalInconsistency,
+    ParseError,
+    TruncationExhausted,
+)
 from .ideals import (
     from_generators,
     h_invariant,
@@ -230,7 +244,7 @@ def render_text(report: dict) -> str:
 
 def _ideal_section(ring: RingData, path: str) -> dict:
     shift, exprs, _name = read_ideal_file(path)
-    gens = [e.to_series().shift(-shift) for e in exprs]
+    gens = [e.shift(-shift) for e in exprs]
     ideal = from_generators(ring, tuple(gens))
     inv = inverse(ideal)
     tr = trace(ideal)
@@ -264,6 +278,9 @@ def cmd_analyze(args) -> int:
     except TruncationExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalInconsistency as exc:
+        print(f"error: internal inconsistency, results withheld: {exc}", file=sys.stderr)
+        return 4
     except (BranchInvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -92,20 +92,26 @@ def _reduce_vec(num: dict[int, int], den: int, rows: dict[int, dict[int, int]]):
 
 
 class _Builder:
-    """Mutable echelon under construction; rows stay fully reduced throughout."""
+    """Mutable echelon under construction; rows stay fully reduced throughout.
 
-    def __init__(self, truncation: int):
-        self.truncation = truncation
-        self.rows: dict[int, dict[int, int]] = {}
-        self.col_index: dict[int, set[int]] = {}  # exponent -> pivot vals using it
+    Keys are ints: exponents for series, or any order the caller chooses
+    (``ideals.inverse`` stacks constraint and augmentation keys).
+    """
 
-    def insert(self, num: dict[int, int], den: int):
-        """Insert a working vector; returns the new pivot valuation or None."""
-        num = {e: a for e, a in num.items() if e < self.truncation and a}
-        num, den = _reduce_vec(num, den, self.rows)
-        num = _content_normalize(num)
-        if not num:
-            return None
+    def __init__(self, rows: dict[int, dict[int, int]] | None = None):
+        self.rows = {v: dict(r) for v, r in (rows or {}).items()}
+        self.col_index: dict[int, set[int]] = {}  # key -> pivots of the rows using it
+        for v, r in self.rows.items():
+            for e in r:
+                self.col_index.setdefault(e, set()).add(v)
+
+    def reduce(self, num: dict[int, int], den: int) -> dict[int, int]:
+        """Primitive remainder of a working vector (consumed) against the rows."""
+        num, _ = _reduce_vec(num, den, self.rows)
+        return _content_normalize(num)
+
+    def add(self, num: dict[int, int]) -> int:
+        """Store a nonzero remainder at its least key; returns that key."""
         v = min(num)
         self.rows[v] = num
         for e in num:
@@ -134,6 +140,11 @@ class _Builder:
             self.rows[w] = merged
         return v
 
+    def insert(self, num: dict[int, int], den: int) -> int | None:
+        """Reduce and add a working vector; returns the new pivot or None."""
+        num = self.reduce(num, den)
+        return self.add(num) if num else None
+
 
 # ---------------------------------------------------------------------------
 # public value types
@@ -145,7 +156,6 @@ class ValueSet:
     """Achieved valuations of a subspace, with tail certification metadata."""
 
     achieved: tuple[int, ...]
-    window_floor: int
     truncation: int
     tail_from: int | None = None
     stable: bool = False
@@ -154,17 +164,13 @@ class ValueSet:
         got = set(self.achieved)
         return tuple(v for v in range(start, bound) if v not in got)
 
-    def __contains__(self, v: int) -> bool:
-        return v in set(self.achieved)
-
 
 class EchelonBasis:
     """Immutable valuation-indexed reduced basis of a subspace of k[[t]]/(t^N)."""
 
-    def __init__(self, truncation: int, window_floor: int,
-                 rows: dict[int, dict[int, int]], tail_from: int | None = None):
+    def __init__(self, truncation: int, rows: dict[int, dict[int, int]],
+                 tail_from: int | None = None):
         self.truncation = truncation
-        self.window_floor = window_floor
         self._rows = rows
         self.tail_from = tail_from
 
@@ -188,8 +194,7 @@ class EchelonBasis:
         return out
 
     def value_set(self, stable: bool = False) -> ValueSet:
-        return ValueSet(self.pivot_valuations, self.window_floor,
-                        self.truncation, self.tail_from, stable)
+        return ValueSet(self.pivot_valuations, self.truncation, self.tail_from, stable)
 
     def observed_tail_start(self) -> int | None:
         """Least T with every integer of [T, N) a pivot valuation; None if N-1 is not."""
@@ -208,7 +213,7 @@ class EchelonBasis:
         for v in range(tail_from, self.truncation):
             if v not in self._rows:
                 raise UncertifiedTail(f"valuation {v} missing from claimed tail [{tail_from}, {self.truncation})")
-        return EchelonBasis(self.truncation, self.window_floor, self._rows, tail_from)
+        return EchelonBasis(self.truncation, self._rows, tail_from)
 
     def __eq__(self, other) -> bool:
         return (
@@ -255,17 +260,10 @@ class EchelonBasis:
                 f"cannot insert a series known only to t^{f.truncation} "
                 f"into a basis at truncation t^{self.truncation}"
             )
-        b = _Builder(self.truncation)
-        b.rows = {v: dict(r) for v, r in self._rows.items()}
-        for v, r in b.rows.items():
-            for e in r:
-                b.col_index.setdefault(e, set()).add(v)
-        num, den = _vec_from_series(f, self.truncation)
-        v = b.insert(num, den)
-        if v is None:
+        b = _Builder(self._rows)
+        if b.insert(*_vec_from_series(f, self.truncation)) is None:
             return self, False
-        floor = min(self.window_floor, v)
-        return EchelonBasis(self.truncation, floor, b.rows, self.tail_from), True
+        return EchelonBasis(self.truncation, b.rows, self.tail_from), True
 
 
 def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[TruncatedSeries],
@@ -300,7 +298,7 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
                 f"seed known to t^{s.truncation} but closure runs to t^{N}"
             )
 
-    b = _Builder(N)
+    b = _Builder()
     queue = [_vec_from_series(s, N) for s in seeds]
     while queue:
         num, den = queue.pop()
@@ -317,7 +315,7 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
                         prod[e] = prod.get(e, 0) + a * c
             if prod:
                 queue.append((prod, mden))
-    return EchelonBasis(N, floor, b.rows)
+    return EchelonBasis(N, b.rows)
 
 
 def quotient_dim(big: EchelonBasis, small: EchelonBasis) -> int:
@@ -339,15 +337,3 @@ def quotient_dim(big: EchelonBasis, small: EchelonBasis) -> int:
             raise NotNested(f"pivot at valuation {v} is not in the big span")
     return len(big) - len(small)
 
-
-# module-level aliases matching the operation names used in docs/tests
-def reduce(f: TruncatedSeries, basis: EchelonBasis) -> TruncatedSeries:
-    return basis.reduce(f)
-
-
-def insert(basis: EchelonBasis, f: TruncatedSeries):
-    return basis.insert(f)
-
-
-def member(f: TruncatedSeries, basis: EchelonBasis, bound: int) -> bool:
-    return basis.member(f, bound)

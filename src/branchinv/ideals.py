@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .branch import RingData
-from .echelon import EchelonBasis, ValueSet, close_under, quotient_dim
+from .echelon import EchelonBasis, ValueSet, _Builder, close_under, quotient_dim
 from .errors import (
     InsufficientTruncation,
     InternalInconsistency,
@@ -90,40 +90,30 @@ def from_generators(ring: RingData, gens) -> FractionalIdeal:
 def _reduction_columns(ring: RingData, gens, w_lo: int, w_hi: int):
     """For each w in [w_lo, w_hi], the stacked remainders of t^w * g_i mod R.
 
-    Keys are (i, exponent); a column is empty iff t^w * g_i lies in R for
-    every i, i.e. iff t^w multiplies the ideal into the ring.
+    The coefficient of t^e in the remainder of t^w * g_i sits at key
+    i*c + e (e < c); a column is empty iff t^w * g_i lies in R for every i,
+    i.e. iff t^w multiplies the ideal into the ring.
     """
+    c = ring.conductor_c
     cols = {}
     for w in range(w_lo, w_hi + 1):
-        col: dict[tuple[int, int], Fraction] = {}
+        col: dict[int, Fraction] = {}
         for i, g in enumerate(gens):
-            if g.truncation + w < ring.conductor_c:
+            if g.truncation + w < c:
                 raise InsufficientTruncation(
                     f"generator known to t^{g.truncation} cannot support membership "
                     f"constraints at shift {w}"
                 )
             rem = ring.ring_basis.reduce(g.shift(w))
             for e, cf in rem.terms().items():
-                if e < ring.conductor_c:
-                    col[(i, e)] = cf
+                if e < c:
+                    col[i * c + e] = cf
                 else:
                     raise InternalInconsistency(
                         "reduction left support above the conductor; tail broken"
                     )
         cols[w] = col
     return cols
-
-
-def _normalize_int_vec(vec: dict) -> dict:
-    vec = {k: a for k, a in vec.items() if a}
-    if not vec:
-        return vec
-    g = 0
-    for a in vec.values():
-        g = gcd(g, a)
-    if g > 1:
-        vec = {k: a // g for k, a in vec.items()}
-    return vec
 
 
 def inverse(I: FractionalIdeal) -> InverseData:
@@ -149,58 +139,27 @@ def inverse(I: FractionalIdeal) -> InverseData:
     lo, hi = -vmin, c - vmin
     cols = _reduction_columns(ring, I.generators, lo, hi)
 
-    # incremental elimination from w = hi down to lo, with augmentation
-    # recording each column's expression over the original t^w candidates
-    echelon: dict = {}  # pivot key -> integer vector over constraint+aug keys
+    # Elimination from w = hi down to lo.  Level w carries the augmentation
+    # key aug + (w - lo), above every constraint key, which records each
+    # column's expression over the original t^w candidates.  A remainder with
+    # a constraint key left becomes a row; one without is a solution, and is
+    # never added, so it cannot alter the realizers found below it.
+    aug = len(I.generators) * c
+    b = _Builder()
     solutions: dict[int, TruncatedSeries] = {}
     for w in range(hi, lo - 1, -1):
-        den = 1
-        for cf in cols[w].values():
-            den = den * cf.denominator // gcd(den, cf.denominator)
-        vec = {("c",) + k: int(cf * den) for k, cf in cols[w].items()}
-        vec[("a", w)] = den
-        # stored columns are fully reduced against each other, so eliminating
-        # a pivot key never introduces another pivot key: one pass suffices
-        for key in sorted(k for k in vec if k[0] == "c" and k in echelon):
-            a = vec.get(key)
-            if not a:
-                continue
-            row = echelon[key]
-            lead = row[key]
-            if lead != 1:
-                vec = {k: x * lead for k, x in vec.items()}
-            for k, b in row.items():
-                s = vec.get(k, 0) - a * b
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
-        vec = _normalize_int_vec(vec)
-        constraint_keys = [k for k in vec if k[0] == "c"]
-        if not constraint_keys:
-            scale = vec.get(("a", w), 0)
-            if scale == 0:
-                raise InternalInconsistency("solution lost its own level coefficient")
-            terms = {k[1]: Fraction(x, scale) for k, x in vec.items()}
-            solutions[w] = TruncatedSeries.from_terms(terms)
-        else:
-            pivot = min(constraint_keys)
-            if vec[pivot] < 0:
-                vec = {k: -x for k, x in vec.items()}
-            # back-reduce stored columns so one pass per new column suffices
-            for pk, row in list(echelon.items()):
-                b = row.get(pivot)
-                if b:
-                    lead = vec[pivot]
-                    merged = {k: x * lead for k, x in row.items()}
-                    for k, x in vec.items():
-                        s = merged.get(k, 0) - b * x
-                        if s:
-                            merged[k] = s
-                        else:
-                            merged.pop(k, None)
-                    echelon[pk] = _normalize_int_vec(merged)
-            echelon[pivot] = vec
+        den = lcm(*(cf.denominator for cf in cols[w].values()))
+        num = {k: int(cf * den) for k, cf in cols[w].items()}
+        num[aug + w - lo] = den
+        vec = b.reduce(num, 1)
+        if min(vec) < aug:
+            b.add(vec)
+            continue
+        scale = vec.get(aug + w - lo, 0)
+        if scale == 0:
+            raise InternalInconsistency("solution lost its own level coefficient")
+        solutions[w] = TruncatedSeries.from_terms(
+            {k - aug + lo: Fraction(x, scale) for k, x in vec.items()})
 
     if not solutions:
         raise ScanExhausted("no multiplier found; preconditions violated")

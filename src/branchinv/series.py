@@ -16,7 +16,8 @@ The grammar accepted by :func:`parse_poly` (whitespace insignificant)::
     base     := 't' | rational | '(' expr ')'
     rational := int ('/' positive-int)?
 
-Implicit multiplication is rejected: write ``2*t``, not ``2t``.
+Implicit multiplication is rejected: write ``2*t``, not ``2t``.  Parentheses
+nest at most :data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
@@ -208,126 +209,13 @@ def format_terms(terms: Mapping[int, Fraction]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial expressions
-# ---------------------------------------------------------------------------
-
-
-class PolyExpr:
-    """Abstract syntax of an exact polynomial in t over the rationals."""
-
-    def expand(self) -> dict[int, Fraction]:
-        raise NotImplementedError
-
-    def to_series(self, truncation: Truncation = INF) -> TruncatedSeries:
-        return TruncatedSeries.from_terms(self.expand(), truncation)
-
-    def degree(self) -> int:
-        terms = self.expand()
-        return max(terms) if terms else 0
-
-    def __str__(self) -> str:
-        return format_terms(self.expand())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyExpr) and self.expand() == other.expand()
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.expand().items())))
-
-
-@dataclass(frozen=True, eq=False)
-class Lit(PolyExpr):
-    value: Fraction
-
-    def expand(self):
-        return {0: Fraction(self.value)} if self.value != 0 else {}
-
-
-@dataclass(frozen=True, eq=False)
-class Var(PolyExpr):
-    def expand(self):
-        return {1: Fraction(1)}
-
-
-@dataclass(frozen=True, eq=False)
-class Neg(PolyExpr):
-    arg: PolyExpr
-
-    def expand(self):
-        return {e: -c for e, c in self.arg.expand().items()}
-
-
-@dataclass(frozen=True, eq=False)
-class Add(PolyExpr):
-    left: PolyExpr
-    right: PolyExpr
-
-    def expand(self):
-        out = dict(self.left.expand())
-        for e, c in self.right.expand().items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class Sub(PolyExpr):
-    left: PolyExpr
-    right: PolyExpr
-
-    def expand(self):
-        return Add(self.left, Neg(self.right)).expand()
-
-
-@dataclass(frozen=True, eq=False)
-class Mul(PolyExpr):
-    left: PolyExpr
-    right: PolyExpr
-
-    def expand(self):
-        out: dict[int, Fraction] = {}
-        right = self.right.expand()
-        for e1, c1 in self.left.expand().items():
-            for e2, c2 in right.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class Pow(PolyExpr):
-    base: PolyExpr
-    exponent: int
-
-    def expand(self):
-        out = {0: Fraction(1)}
-        base = self.base.expand()
-        for _ in range(self.exponent):
-            nxt: dict[int, Fraction] = {}
-            for e1, c1 in out.items():
-                for e2, c2 in base.items():
-                    e = e1 + e2
-                    s = nxt.get(e, Fraction(0)) + c1 * c2
-                    if s:
-                        nxt[e] = s
-                    else:
-                        nxt.pop(e, None)
-            out = nxt
-        return out
-
-
-# ---------------------------------------------------------------------------
 # Tokenizer / recursive-descent parser
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*^/()")
+
+#: Deepest parenthesis nesting :func:`parse_poly` accepts.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -364,10 +252,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent that builds the polynomial bottom-up, with no tree.
+
+    Each parenthesis level costs four stack frames, so nesting is capped at
+    :data:`MAX_NESTING` and deeper input is a :class:`ParseError`, not a
+    ``RecursionError``.
+    """
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -383,43 +278,43 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return self.advance()
 
-    def parse(self) -> PolyExpr:
-        expr = self.expr()
+    def parse(self) -> TruncatedSeries:
+        poly = self.expr()
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError(f"unexpected {tok[1]!r} after expression", tok[2])
-        return expr
+        return poly
 
-    def expr(self) -> PolyExpr:
+    def expr(self) -> TruncatedSeries:
         negate = False
         if self.peek()[0] == "-":
             self.advance()
             negate = True
-        node: PolyExpr = self.term()
+        poly = self.term()
         if negate:
-            node = Neg(node)
+            poly = -poly
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            poly = poly + rhs if op == "+" else poly - rhs
+        return poly
 
-    def term(self) -> PolyExpr:
-        node = self.factor()
+    def term(self) -> TruncatedSeries:
+        poly = self.factor()
         while True:
             tok = self.peek()
             if tok[0] == "*":
                 self.advance()
-                node = Mul(node, self.factor())
+                poly = poly * self.factor()
             elif tok[0] in ("t", "int", "("):
                 raise ParseError(
                     f"implicit multiplication before {tok[1]!r} is not allowed; write '*'", tok[2]
                 )
             else:
-                return node
+                return poly
 
-    def factor(self) -> PolyExpr:
-        node = self.base()
+    def factor(self) -> TruncatedSeries:
+        poly = self.base()
         if self.peek()[0] == "^":
             self.advance()
             tok = self.peek()
@@ -429,14 +324,14 @@ class _Parser:
             exponent = int(tok[1])
             if self.peek()[0] == "/":
                 raise ParseError("non-integer exponent", self.peek()[2])
-            node = Pow(node, exponent)
-        return node
+            poly = _power(poly, exponent)
+        return poly
 
-    def base(self) -> PolyExpr:
+    def base(self) -> TruncatedSeries:
         tok = self.peek()
         if tok[0] == "t":
             self.advance()
-            return Var()
+            return TruncatedSeries.t_power(1)
         if tok[0] == "int":
             self.advance()
             num = int(tok[1])
@@ -446,36 +341,42 @@ class _Parser:
                 den = int(den_tok[1])
                 if den == 0:
                     raise ParseError("denominator must be positive", den_tok[2])
-                return Lit(Fraction(num, den))
-            return Lit(Fraction(num))
+                return TruncatedSeries.t_power(0, Fraction(num, den))
+            return TruncatedSeries.t_power(0, num)
         if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
             self.advance()
-            node = self.expr()
+            self.depth += 1
+            poly = self.expr()
+            self.depth -= 1
             self.expect(")")
-            return node
+            return poly
         raise ParseError(f"expected 't', a number, or '(', found {tok[1] or 'end of input'!r}", tok[2])
 
 
-def parse_poly(text: str) -> PolyExpr:
-    """Parse an exact polynomial in t; raises :class:`ParseError` with a position."""
+def _power(f: TruncatedSeries, k: int) -> TruncatedSeries:
+    """f^k by repeated squaring."""
+    out = TruncatedSeries.one()
+    while k:
+        if k & 1:
+            out = out * f
+        k >>= 1
+        if k:
+            f = f * f
+    return out
+
+
+def parse_poly(text: str) -> TruncatedSeries:
+    """Parse an exact polynomial in t into a series known exactly (INF truncation).
+
+    Raises :class:`ParseError` with a position.
+    """
     return _Parser(text).parse()
 
 
 def parse_series(text: str, truncation: Truncation = INF) -> TruncatedSeries:
-    return parse_poly(text).to_series(truncation)
-
-
-def valuation(f: TruncatedSeries) -> Truncation:
-    """Exponent of the lowest nonzero term, INF for the zero series."""
-    return f.valuation()
-
-
-def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return f * g
-
-
-def series_derivative(f: TruncatedSeries) -> TruncatedSeries:
-    return f.derivative()
+    return parse_poly(text).truncate(truncation)
 
 
 def monomials(gens: Iterable[TruncatedSeries], degree: int) -> list[TruncatedSeries]:

@@ -1,8 +1,21 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import branchinv.cli
 from branchinv.cli import main, read_branch_file, read_ideal_file
+from branchinv.errors import InternalInconsistency
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# (expected output, branch file, ideal file or None), paths relative to the repo
+GOLDEN_CASES = [
+    (f"{p.stem}.json", f"branches/{p.name}", None)
+    for p in sorted((REPO / "branches").glob("*.branch"))
+] + [("cusp_with_maximal_ideal.json", "branches/cusp.branch",
+      "branches/cusp_maximal_ideal.ideal")]
 
 EXPECTED_KEYS = ["name", "generators", "truncation", "stable", "n", "s", "delta",
                  "conductor", "gaps", "gorenstein", "vD", "lambda_D", "v_Dinv",
@@ -33,6 +46,13 @@ class TestBranchFiles:
         assert main(["analyze", path]) == 2
         err = capsys.readouterr().err
         assert ":2:" in err
+
+    def test_deep_nesting_is_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "deep.branch", "(" * 3000 + "t" + ")" * 3000 + "\nt^3\n")
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert "nested deeper" in err and ":1:" in err
+        assert "Traceback" not in err
 
     def test_ideal_file_shift_header(self, tmp_path):
         path = write(tmp_path, "i.ideal", "shift: 3\nt^2\nt^5\n")
@@ -87,6 +107,37 @@ class TestAnalyzeCommand:
     def test_truncation_exhausted_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "big.branch", "t^39\nt^40\n")
         assert main(["analyze", path, "--max-truncation", "128"]) == 3
+
+    def test_cap_holds_for_initial_truncation(self, tmp_path, capsys):
+        # the degree alone asks for truncation 4*2001+16 = 8020
+        path = write(tmp_path, "wide.branch", "t^2\nt^2001\n")
+        assert main(["analyze", path, "--json", "--max-truncation", "1024"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "8020" in captured.err
+
+    def test_cap_holds_for_verification(self, plane49_file, capsys):
+        # plane49 certifies at 64; the doubling check would need 128
+        assert main(["analyze", plane49_file, "--max-truncation", "100"]) == 3
+        assert "128" in capsys.readouterr().err
+
+    def test_internal_inconsistency_exit_code(self, plane49_file, capsys, monkeypatch):
+        def broken(ring):
+            raise InternalInconsistency("routes disagree")
+
+        monkeypatch.setattr(branchinv.cli, "compute", broken)
+        assert main(["analyze", plane49_file, "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "results withheld" in captured.err and "routes disagree" in captured.err
+
+    @pytest.mark.parametrize("expected, branch, ideal", GOLDEN_CASES,
+                             ids=[case[0] for case in GOLDEN_CASES])
+    def test_bundled_branch_json_pinned(self, expected, branch, ideal, capsys, monkeypatch):
+        monkeypatch.chdir(REPO)
+        argv = ["analyze", branch, "--json"] + (["--ideal", ideal] if ideal else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / expected).read_text(encoding="utf-8")
 
     def test_byte_identical_reports(self, plane49_file, capsys):
         main(["analyze", plane49_file, "--json"])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,10 @@ from hypothesis import strategies as st
 from branchinv.errors import InsufficientTruncation, ParseError
 from branchinv.series import (
     INF,
+    MAX_NESTING,
     TruncatedSeries,
     parse_poly,
     parse_series,
-    series_derivative,
-    series_mul,
-    valuation,
 )
 
 
@@ -27,15 +26,15 @@ def conv_oracle(a: dict, b: dict) -> dict:
 
 class TestValuation:
     def test_polynomial(self):
-        assert valuation(parse_series("t^8+t^9").derivative()) == 7
+        assert parse_series("t^8+t^9").derivative().valuation() == 7
 
     def test_zero_series_is_infinite(self):
-        assert valuation(TruncatedSeries.zero(10)) == INF
-        assert valuation(TruncatedSeries.zero()) == INF
+        assert TruncatedSeries.zero(10).valuation() == INF
+        assert TruncatedSeries.zero().valuation() == INF
 
     def test_laurent_leading_term(self):
         f = TruncatedSeries.from_terms({-3: Fraction(1), 1: Fraction(1)})
-        assert valuation(f) == -3
+        assert f.valuation() == -3
 
     def test_normalization_strips_leading_zeros(self):
         f = TruncatedSeries(0, (Fraction(0), Fraction(0), Fraction(5)), 10)
@@ -79,13 +78,13 @@ class TestArithmetic:
 
 class TestDerivative:
     def test_known_values(self):
-        assert series_derivative(parse_series("t^8+t^9")).terms() == {
+        assert parse_series("t^8+t^9").derivative().terms() == {
             7: Fraction(8), 8: Fraction(9)}
-        assert series_derivative(parse_series("t^4+t^5")).terms() == {
+        assert parse_series("t^4+t^5").derivative().terms() == {
             3: Fraction(4), 4: Fraction(5)}
 
     def test_constant(self):
-        assert series_derivative(parse_series("1")).is_zero()
+        assert parse_series("1").derivative().is_zero()
 
     def test_truncation_drops(self):
         f = parse_series("t^2", truncation=9)
@@ -102,7 +101,7 @@ small_polys = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(small_polys, small_polys)
 def test_valuations_add_under_product(f, g):
-    p = series_mul(f, g)
+    p = f * g
     if f.is_zero() or g.is_zero():
         assert p.is_zero()
     else:
@@ -112,7 +111,7 @@ def test_valuations_add_under_product(f, g):
 @settings(max_examples=60, deadline=None)
 @given(small_polys, small_polys)
 def test_product_matches_convolution_oracle(f, g):
-    assert series_mul(f, g).terms() == conv_oracle(f.terms(), g.terms())
+    assert (f * g).terms() == conv_oracle(f.terms(), g.terms())
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,22 +130,36 @@ def test_derivative_is_linear(f, g):
 
 class TestParser:
     def test_known_expansion(self):
-        assert parse_poly("64*t^10 - 81*t^12").expand() == {
+        assert parse_poly("64*t^10 - 81*t^12").terms() == {
             10: Fraction(64), 12: Fraction(-81)}
 
     def test_identity(self):
-        assert parse_poly("t").expand() == {1: Fraction(1)}
+        f = parse_poly("t")
+        assert f.terms() == {1: Fraction(1)} and f.truncation == INF
 
     def test_power_expansion_oracle(self):
         # (t^2+1)^2 expanded by the convolution oracle
         base = {0: Fraction(1), 2: Fraction(1)}
-        assert parse_poly("(t^2+1)^2").expand() == conv_oracle(base, base)
+        assert parse_poly("(t^2+1)^2").terms() == conv_oracle(base, base)
+        # an odd exponent with several bits exercises the squaring path
+        assert parse_poly("(1+t)^37").terms() == {k: Fraction(comb(37, k)) for k in range(38)}
+
+    def test_large_exponent_is_one_term(self):
+        f = parse_poly("t^1000000")
+        assert f.terms() == {1000000: Fraction(1)}
+        assert str(f) == "t^1000000"
+
+    def test_nesting_limit(self):
+        assert parse_poly("(" * MAX_NESTING + "t" + ")" * MAX_NESTING).terms() == {1: Fraction(1)}
+        with pytest.raises(ParseError) as exc:
+            parse_poly("(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1))
+        assert exc.value.position == MAX_NESTING
 
     def test_rational_literals(self):
-        assert parse_poly("1/2*t + 3").expand() == {0: Fraction(3), 1: Fraction(1, 2)}
+        assert parse_poly("1/2*t + 3").terms() == {0: Fraction(3), 1: Fraction(1, 2)}
 
     def test_leading_minus(self):
-        assert parse_poly("-t^2+t^3").expand() == {2: Fraction(-1), 3: Fraction(1)}
+        assert parse_poly("-t^2+t^3").terms() == {2: Fraction(-1), 3: Fraction(1)}
 
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ParseError):
@@ -170,4 +183,4 @@ class TestParser:
     def test_roundtrip_through_canonical_printer(self):
         for text in ("t^8+t^9", "64*t^10 - 81*t^12", "(t^2+1)^2", "1/2*t - 7", "-t + t^4"):
             expr = parse_poly(text)
-            assert parse_poly(str(expr)).expand() == expr.expand()
+            assert parse_poly(str(expr)).terms() == expr.terms()
