@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .echelon import EchelonBasis, ValueSet, close_under, quotient_dim
 from .errors import (
+    BranchInvError,
     ImprimitiveParametrization,
     InsufficientTruncation,
     InternalInconsistency,
@@ -239,9 +240,11 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
             verify_stability: bool = True,
             max_truncation: int = DEFAULT_MAX_TRUNCATION) -> RingData:
     """Full branch analysis with certified conductor and optional 2N verification."""
+    if initial_truncation is not None and initial_truncation < 1:
+        raise BranchInvError(f"initial truncation {initial_truncation} is below 1")
     gens = _validate(spec)
     maxdeg = spec.max_degree()
-    N = initial_truncation if initial_truncation else max(64, 4 * maxdeg + 16)
+    N = initial_truncation if initial_truncation is not None else max(64, 4 * maxdeg + 16)
     if N > max_truncation:
         raise TruncationExhausted(f"truncation {N} is above the cap {max_truncation}")
 

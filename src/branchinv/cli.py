@@ -16,7 +16,7 @@ Exit codes:
 
     0   the analysis completed (whatever the verdict)
     2   input error: unreadable file, parse error (parentheses nest at most
-        100 deep), invalid or imprimitive parametrization
+        100 deep), invalid or imprimitive parametrization, ``--truncation`` < 1
     3   no certified analysis fits under ``--max-truncation`` (default 4096);
         the cap holds for the first truncation, every retry, the doubling
         verification and the re-analysis that the derivative module needs
@@ -138,19 +138,19 @@ def _bounds_json(bounds: dict) -> dict:
     return out
 
 
-def build_report(ring: RingData, diff: DifferentialData, vd: Verdict,
+def build_report(diff: DifferentialData, vd: Verdict,
                  ideal_section: dict | None = None) -> dict:
     report = {
-        "name": ring.name,
-        "generators": [str(g) for g in ring.spec.generators],
+        "name": diff.ring.name,
+        "generators": [str(g) for g in diff.ring.spec.generators],
         "truncation": diff.ring.truncation,
         "stable": diff.ring.stable,
-        "n": ring.embdim_n,
-        "s": ring.order_s,
-        "delta": ring.delta,
-        "conductor": ring.conductor_c,
-        "gaps": list(ring.gaps),
-        "gorenstein": ring.gorenstein,
+        "n": diff.ring.embdim_n,
+        "s": diff.ring.order_s,
+        "delta": diff.ring.delta,
+        "conductor": diff.ring.conductor_c,
+        "gaps": list(diff.ring.gaps),
+        "gorenstein": diff.ring.gorenstein,
         "vD": diff.v_D,
         "lambda_D": diff.lambda_D,
         "v_Dinv": diff.v_Dinv,
@@ -284,7 +284,7 @@ def cmd_analyze(args) -> int:
     except (BranchInvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = build_report(ring, diff, vd, ideal_section)
+    report = build_report(diff, vd, ideal_section)
     print(render_json(report) if args.json else render_text(report))
     return 0
 

@@ -5,6 +5,11 @@ colength h of an integral copy of it is computed entirely inside k((t)):
 h = lambda(k[[t]]/D) - delta + v(D^{-1}).  The same number is recomputed
 through the conductor shift t^c D as a mandatory cross-check; disagreement
 aborts the run instead of reporting anything.
+
+The realized copy J = alpha D (alpha realizes v(D^{-1})) carries alpha's large
+coefficients and is never closed.  J is isomorphic to D, so mu(J) = mu(D).
+Once J lies in m^s, m J lies in m^(s+1), so J + m^(s+1) is the k-span of the n
+products alpha x_i' added to the m^(s+1) basis that the order ladder cached.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from .ideals import (
     from_generators,
     inverse,
     min_generators,
-    product,
 )
-from .series import TruncatedSeries, monomials
+from .series import TruncatedSeries
 
 
 @dataclass(eq=False)
@@ -33,14 +37,12 @@ class DifferentialData:
     v_D: int
     v_Dinv: int
     alpha: TruncatedSeries
-    J_min: FractionalIdeal
     h_omega: int
     lambda_tcD: int
     maximal_torsion: bool
     in_ms: bool | None
     mu_Jmin: int
     mu_msJ: int | None
-    trace_D: FractionalIdeal
 
 
 def derivative_module(ring: RingData) -> FractionalIdeal:
@@ -49,6 +51,7 @@ def derivative_module(ring: RingData) -> FractionalIdeal:
     return from_generators(ring, gens)
 
 
+# This sets the reported truncation, which tests/golden/ pins: keep it as is.
 def required_truncation(ring: RingData) -> int:
     c = ring.conductor_c
     maxdeg = ring.spec.max_degree()
@@ -91,29 +94,23 @@ def compute(ring: RingData) -> DifferentialData:
             f"{lambda_tcD} - {c} + {v_Dinv}"
         )
 
-    J_min = from_generators(ring, tuple(alpha * g for g in D.generators))
-    for g in J_min.generators:
-        if not ring.ring_basis.member(g, c):
-            raise InternalInconsistency("realizer times D left the ring")
-    if quotient_dim(ring.ring_basis, J_min.basis) != h:
-        raise InternalInconsistency("colength of the realized copy disagrees with h")
+    J_gens = tuple(alpha * g for g in D.generators)
+    if not all(ring.ring_basis.member(g, c) for g in J_gens):
+        raise InternalInconsistency("realizer times D left the ring")
 
     s = ring.order_s
-    mu_Jmin = min_generators(J_min)
+    mu_Jmin = min_generators(D)
     in_ms: bool | None = None
     mu_msJ: int | None = None
     if s is not None:
         ms = m_power_basis(ring, s)
         ms_bound = c + s * ring.multiplicity
-        in_ms = all(ms.member(g, ms_bound) for g in J_min.generators)
+        in_ms = all(ms.member(g, ms_bound) for g in J_gens)
         if in_ms:
-            union_gens = tuple(J_min.generators) + tuple(monomials(ring.generators, s + 1))
-            union = from_generators(ring, union_gens)
-            mu_msJ = quotient_dim(ms, union.basis)
-
-    trace_D = product(D, inv.inverse_ideal)
-    if trace_D.vmin != v_D + v_Dinv:
-        raise InternalInconsistency("v(trace) disagrees with v(D) + v(D^-1)")
+            span = m_power_basis(ring, s + 1)
+            for g in J_gens:
+                span, _ = span.insert(g)
+            mu_msJ = quotient_dim(ms, span)
 
     return DifferentialData(
         ring=ring,
@@ -122,12 +119,10 @@ def compute(ring: RingData) -> DifferentialData:
         v_D=v_D,
         v_Dinv=v_Dinv,
         alpha=alpha,
-        J_min=J_min,
         h_omega=h,
         lambda_tcD=lambda_tcD,
         maximal_torsion=(delta == lambda_D),
         in_ms=in_ms,
         mu_Jmin=mu_Jmin,
         mu_msJ=mu_msJ,
-        trace_D=trace_D,
     )

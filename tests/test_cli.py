@@ -116,6 +116,14 @@ class TestAnalyzeCommand:
         assert captured.out == ""
         assert "8020" in captured.err
 
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_truncation_below_one_is_input_error(self, plane49_file, capsys, value):
+        # doubling a negative N never reaches the cap, and 0 is not the default
+        assert main(["analyze", plane49_file, "--json", "--truncation", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"initial truncation {value} is below 1" in captured.err
+
     def test_cap_holds_for_verification(self, plane49_file, capsys):
         # plane49 certifies at 64; the doubling check would need 128
         assert main(["analyze", plane49_file, "--max-truncation", "100"]) == 3

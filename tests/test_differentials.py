@@ -1,6 +1,13 @@
+from branchinv.branch import m_power_basis
 from branchinv.differentials import compute, derivative_module
 from branchinv.echelon import quotient_dim
-from branchinv.ideals import h_invariant, trace
+from branchinv.ideals import from_generators, h_invariant, min_generators, trace
+from branchinv.series import monomials
+
+
+def realized_copy(d):
+    """The closure of alpha * D, which compute never builds."""
+    return from_generators(d.ring, tuple(d.alpha * g for g in d.D.generators))
 
 
 class TestDerivativeModule:
@@ -64,13 +71,35 @@ class TestInvariants:
             assert 0 <= d.lambda_D <= ring.delta
 
     def test_realized_copy_attains_h(self, corpus):
-        for d in corpus[:12]:
-            assert quotient_dim(d.ring.ring_basis, d.J_min.basis) == d.h_omega
+        # oracle: close J and J + m^(s+1) outright, which compute avoids
+        # through mu(J) = mu(D) and J + m^(s+1) = span(alpha x_i') + m^(s+1)
+        with_ms = 0
+        for d in corpus:
+            ring = d.ring
+            J = realized_copy(d)
+            assert quotient_dim(ring.ring_basis, J.basis) == d.h_omega
+            assert min_generators(J) == d.mu_Jmin
+            s = ring.order_s
+            if s is None:
+                assert d.in_ms is None and d.mu_msJ is None
+                continue
+            ms = m_power_basis(ring, s)
+            in_ms = all(ms.member(g, ring.conductor_c + s * ring.multiplicity)
+                        for g in J.generators)
+            assert in_ms == d.in_ms, ring.name
+            if in_ms:
+                with_ms += 1
+                union = from_generators(
+                    ring, J.generators + tuple(monomials(ring.generators, s + 1)))
+                assert quotient_dim(ms, union.basis) == d.mu_msJ, ring.name
+            else:
+                assert d.mu_msJ is None
+        assert with_ms >= 10
 
     def test_trace_of_realized_copy_matches_trace_of_module(self, corpus):
         for d in corpus[:8]:
-            tr_J = trace(d.J_min)
-            assert tr_J.value_set.achieved == d.trace_D.value_set.achieved
+            tr_J = trace(realized_copy(d))
+            assert tr_J.value_set.achieved == trace(d.D).value_set.achieved
 
     def test_h_invariant_route_agrees(self, corpus):
         for d in corpus[:10]:

@@ -94,7 +94,7 @@ class TestProduct:
         assert ab.vmin == 5
 
     def test_trace_valuation_of_deep_branch(self, diff_embdim7):
-        assert diff_embdim7.trace_D.vmin == 10
+        assert trace(diff_embdim7.D).vmin == 10
 
     def test_ring_mismatch_rejected(self, cusp, plane49):
         a = from_generators(cusp, (tp(2),))
@@ -105,8 +105,8 @@ class TestProduct:
 
 class TestTrace:
     def test_trace_vmin_adds(self, diff_embdim7, diff_four_gens):
-        assert diff_embdim7.trace_D.vmin == 7 + 3
-        assert diff_four_gens.trace_D.vmin == 8 + 18
+        assert trace(diff_embdim7.D).vmin == 7 + 3
+        assert trace(diff_four_gens.D).vmin == 8 + 18
 
     def test_trace_of_ring_is_ring(self, plane49):
         R = from_generators(plane49, (TruncatedSeries.one(),))
@@ -215,7 +215,7 @@ class TestModuleInvariants:
         # h(I) >= lambda(R/tr(I)) >= h(tr(I))
         for diff in corpus[:8]:
             ring = diff.ring
-            tr = diff.trace_D
+            tr = trace(diff.D)
             lam_tr = quotient_dim(ring.ring_basis, tr.basis)
             assert diff.h_omega >= lam_tr
             assert lam_tr >= h_invariant(tr)
