@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Cross-check the branch pipeline against the semigroup sieve on random
-monomial parametrizations.  Exits nonzero on the first disagreement.
+monomial parametrizations: the gaps, conductor, delta, Gorenstein flag and
+embedding dimension (the number of minimal generators of the semigroup).
+Exits nonzero on the first disagreement.
 
 Usage: monomial_crosscheck.py [count] [seed]
 """
@@ -14,6 +16,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from branchinv.branch import BranchSpec, analyze
 from branchinv.semigroup import sieve
+
+
+def minimal_generator_count(gens, gaps) -> int:
+    """Generators that are no sum of two nonzero semigroup elements."""
+    gapset = set(gaps)
+
+    def element(v):
+        return v not in gapset
+
+    return sum(not any(element(x) and element(a - x) for x in range(1, a)) for a in gens)
 
 
 def main(count: int = 200, seed: int = 0) -> int:
@@ -32,14 +44,17 @@ def main(count: int = 200, seed: int = 0) -> int:
             verify_stability=False,
         )
         data = sieve(gens)
+        embdim = minimal_generator_count(data.generators, data.gaps)
         ok = (ring.gaps == data.gaps
               and ring.conductor_c == data.conductor
               and ring.delta == data.delta
-              and ring.gorenstein == data.symmetric)
+              and ring.gorenstein == data.symmetric
+              and ring.embdim_n == embdim)
         if not ok:
             print(f"MISMATCH for {gens}:")
-            print(f"  pipeline: c={ring.conductor_c} delta={ring.delta} gaps={ring.gaps}")
-            print(f"  sieve:    c={data.conductor} delta={data.delta} gaps={data.gaps}")
+            print(f"  pipeline: c={ring.conductor_c} delta={ring.delta} n={ring.embdim_n} "
+                  f"gaps={ring.gaps}")
+            print(f"  sieve:    c={data.conductor} delta={data.delta} n={embdim} gaps={data.gaps}")
             return 1
         done += 1
         if done % 50 == 0:

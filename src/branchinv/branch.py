@@ -4,16 +4,26 @@
 mod t^N, and certifies the conductor exponent exactly: the closure's pivot
 valuations below N are the true achieved valuations, and once a run of
 length >= e (e the least positive achieved valuation) is observed, closure of
-the value semigroup under +e proves every larger valuation is achieved.  The
-optional doubling verification recomputes everything at 2N as an independent
-guard.
+the value semigroup under +e proves every larger valuation is achieved.
+
+The order s needs few closures.  A plane branch (n = 2) is k[[x,y]]/(f) with
+ord f = e, so s = e - 1 in closed form.  For n >= 3 the ladder of m^d closures
+stops at the first d with C(n+d-1, d) > e, because H(d) = dim m^d/m^(d+1) is
+at most e in a one-dimensional Cohen-Macaulay ring.  Both still demand the
+room (c + d*e < N) that the full ladder's closures would need, so the first
+certified N does not depend on which route found s.
+
+The doubling check re-analyzes at 2N and demands the same invariants.
+`analyze` runs it on request, once, on the ring it returns: when the caller
+names the truncation its later work needs, a ring short of it is re-analyzed
+before the check, not after.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .echelon import EchelonBasis, ValueSet, close_under, quotient_dim
 from .errors import (
@@ -121,22 +131,27 @@ def _certify_conductor(achieved: set[int], limit: int, e: int) -> int | None:
     return t
 
 
+def _mpow_tail(ring: RingData, d: int) -> int:
+    """c + d*e, from where m^d holds every valuation; demands it below N."""
+    tail = ring.conductor_c + d * ring.multiplicity
+    if tail >= ring.truncation:
+        raise _NeedsTruncation(f"m^{d} needs truncation above {tail}", kind="order")
+    return tail
+
+
 def m_power_basis(ring: RingData, d: int) -> EchelonBasis:
     """Echelon basis of m^d mod t^N (d=0 gives the ring itself), tail certified."""
     if d in ring._mpow:
         return ring._mpow[d]
     N = ring.truncation
-    c, e = ring.conductor_c, ring.multiplicity
     if d == 0:
         basis = ring.ring_basis
     elif d == 1:
         rows = {v: r for v, r in ring.ring_basis._rows.items() if v != 0}
-        basis = EchelonBasis(N, rows).with_tail(max(c, 1))
+        basis = EchelonBasis(N, rows).with_tail(max(ring.conductor_c, 1))
     else:
-        if c + d * e >= N:
-            raise _NeedsTruncation(f"m^{d} needs truncation above {c + d * e}", kind="order")
-        basis = close_under(monomials(ring.generators, d), ring.generators, N)
-        basis = basis.with_tail(c + d * e)
+        tail = _mpow_tail(ring, d)
+        basis = close_under(monomials(ring.generators, d), ring.generators, N).with_tail(tail)
     ring._mpow[d] = basis
     return basis
 
@@ -151,23 +166,30 @@ def order_s(ring: RingData) -> int:
 
     This detects the least degree s+1 of a relation among the generators: as
     long as the Hilbert function matches the ambient power-series ring's, no
-    relation of that degree exists.
+    relation of that degree exists.  Where theory fixes the answer no closure
+    runs, but the room the m^d closures would need is still demanded.
     """
     n = ring.embdim_n
     if n < 2:
         raise OrderUndetectable("order is defined for embedding dimension >= 2")
-    d = 1
+    e = ring.multiplicity
+    if n > e:
+        raise InternalInconsistency(f"embedding dimension {n} exceeds multiplicity {e}")
+    if n == 2:
+        # R = k[[x,y]]/(f) with ord f = e, so H(d) = d + 1 exactly for d < e;
+        # the full ladder would close m^3 .. m^(e+1), so demand their room
+        for d in range(3, e + 2):
+            _mpow_tail(ring, d)
+        return e - 1
+    d = 2  # H(1) = n by definition
     while True:
-        dim = quotient_dim(m_power_basis(ring, d), m_power_basis(ring, d + 1))
-        if dim != comb(n + d - 1, d):
-            if d == 1:
-                raise InternalInconsistency(
-                    f"dim m/m^2 = {dim} disagrees with embedding dimension {n}"
-                )
+        if comb(n + d - 1, d) > e:
+            # H(d) <= e, so the pattern breaks here
+            _mpow_tail(ring, d + 1)
+            return d - 1
+        if quotient_dim(m_power_basis(ring, d), m_power_basis(ring, d + 1)) != comb(n + d - 1, d):
             return d - 1
         d += 1
-        if d > ring.truncation:
-            raise OrderUndetectable("Hilbert function never left the regular pattern")
 
 
 def is_gorenstein(ring: RingData) -> bool:
@@ -231,6 +253,9 @@ def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int,
         raise InternalInconsistency(
             f"embedding dimension {ring.embdim_n} inconsistent with delta {delta}"
         )
+    if ring.embdim_n == 2 and not ring.gorenstein:
+        raise InternalInconsistency("a plane branch must be Gorenstein, but its semigroup "
+                                    "is not symmetric")
     if ring.embdim_n >= 2:
         ring.order_s = order_s(ring)
     return ring
@@ -238,8 +263,14 @@ def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int,
 
 def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
             verify_stability: bool = True,
-            max_truncation: int = DEFAULT_MAX_TRUNCATION) -> RingData:
-    """Full branch analysis with certified conductor and optional 2N verification."""
+            max_truncation: int = DEFAULT_MAX_TRUNCATION,
+            room: Callable[[RingData], int] | None = None) -> RingData:
+    """Full branch analysis with certified conductor and optional 2N verification.
+
+    `room` maps a certified ring to the truncation that later work on it needs
+    (the CLI passes `differentials.required_truncation`).  A ring short of it
+    is re-analyzed there first, so only the ring returned is verified.
+    """
     if initial_truncation is not None and initial_truncation < 1:
         raise BranchInvError(f"initial truncation {initial_truncation} is below 1")
     gens = _validate(spec)
@@ -247,6 +278,8 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
     N = initial_truncation if initial_truncation is not None else max(64, 4 * maxdeg + 16)
     if N > max_truncation:
         raise TruncationExhausted(f"truncation {N} is above the cap {max_truncation}")
+    # the largest truncation worth a try: a verified ring needs its 2N under the cap
+    limit = max_truncation // 2 if verify_stability else max_truncation
 
     ring = None
     gcd_seen = 0
@@ -261,43 +294,65 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
                 if exc.gcd_evidence == gcd_seen or 2 * N > max_truncation:
                     raise ImprimitiveParametrization(exc.gcd_evidence) from None
                 gcd_seen = exc.gcd_evidence
-            elif 2 * N > max_truncation:
+                N *= 2
+            elif N >= limit:
                 err = OrderUndetectable if exc.kind == "order" else TruncationExhausted
                 raise err(
                     f"no stable analysis below truncation {max_truncation} ({exc.reason})"
                 ) from None
-            N *= 2
+            else:
+                # doubling past the limit tries the limit itself last
+                N = min(2 * N, limit)
 
+    needed = room(ring) if room is not None else 0
+    if needed > ring.truncation:
+        if verify_stability:
+            _doubled_truncation(ring)  # no check that fails here fits after re-analysis
+        return ensure_truncation(ring, needed, verify_stability=verify_stability)
     if verify_stability:
-        if 2 * N > max_truncation:
-            raise TruncationExhausted(
-                f"doubling verification needs truncation {2 * N}, above the cap {max_truncation}"
-            )
-        double = _analyze_at(spec, gens, 2 * N, max_truncation)
-        same = (
-            double.gaps == ring.gaps
-            and double.embdim_n == ring.embdim_n
-            and double.order_s == ring.order_s
-            and double.gorenstein == ring.gorenstein
-        )
-        if not same:
-            raise InternalInconsistency(
-                "doubling verification changed the invariants; "
-                f"N={N}: gaps={ring.gaps}, 2N: gaps={double.gaps}"
-            )
-        ring.stable = True
-        ring.value_set = ring.ring_basis.value_set(stable=True)
+        _verify(ring)
     return ring
 
 
-def ensure_truncation(ring: RingData, needed: int) -> RingData:
+def _doubled_truncation(ring: RingData) -> int:
+    """The truncation 2N of the doubling check; raises when it passes the cap."""
+    double = 2 * ring.truncation
+    if double > ring.max_truncation:
+        raise TruncationExhausted(
+            f"doubling verification needs truncation {double}, above the cap {ring.max_truncation}"
+        )
+    return double
+
+
+def _verify(ring: RingData) -> None:
+    """The doubling check: re-analyze at 2N, demand the same invariants, and
+    mark the ring stable."""
+    double = _analyze_at(ring.spec, ring.generators, _doubled_truncation(ring),
+                         ring.max_truncation)
+    same = (
+        double.gaps == ring.gaps
+        and double.embdim_n == ring.embdim_n
+        and double.order_s == ring.order_s
+        and double.gorenstein == ring.gorenstein
+    )
+    if not same:
+        raise InternalInconsistency(
+            "doubling verification changed the invariants; "
+            f"N={ring.truncation}: gaps={ring.gaps}, 2N: gaps={double.gaps}"
+        )
+    ring.stable = True
+
+
+def ensure_truncation(ring: RingData, needed: int, *,
+                      verify_stability: bool | None = None) -> RingData:
     """Re-analyze at a larger truncation when downstream work needs more room;
-    the ring's truncation cap still holds."""
+    the ring's truncation cap still holds, and the new ring is verified when
+    asked, by default when the old one was."""
     if ring.truncation >= needed:
         return ring
     return analyze(
         ring.spec,
         initial_truncation=needed,
-        verify_stability=ring.stable,
+        verify_stability=ring.stable if verify_stability is None else verify_stability,
         max_truncation=ring.max_truncation,
     )

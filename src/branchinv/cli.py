@@ -18,8 +18,10 @@ Exit codes:
     2   input error: unreadable file, parse error (parentheses nest at most
         100 deep), invalid or imprimitive parametrization, ``--truncation`` < 1
     3   no certified analysis fits under ``--max-truncation`` (default 4096);
-        the cap holds for the first truncation, every retry, the doubling
-        verification and the re-analysis that the derivative module needs
+        the cap holds for the first truncation, every retry (the last try is
+        the cap, or half of it when the doubling verification follows), the
+        doubling verification and the re-analysis that the derivative
+        module needs
     4   two independent routes to the same quantity disagreed
         (``InternalInconsistency``); no results are reported
 """
@@ -34,7 +36,7 @@ from fractions import Fraction
 from . import __version__
 from .berger import RULES, Verdict, verdict
 from .branch import BranchSpec, RingData, analyze
-from .differentials import DifferentialData, compute
+from .differentials import DifferentialData, compute, required_truncation
 from .errors import (
     BranchInvError,
     GcdNotOne,
@@ -271,6 +273,7 @@ def cmd_analyze(args) -> int:
             initial_truncation=args.truncation,
             verify_stability=not args.no_verify,
             max_truncation=args.max_truncation,
+            room=required_truncation,
         )
         diff = compute(ring)
         vd = verdict(diff)

@@ -158,7 +158,6 @@ class ValueSet:
     achieved: tuple[int, ...]
     truncation: int
     tail_from: int | None = None
-    stable: bool = False
 
     def gaps_below(self, bound: int, start: int = 0) -> tuple[int, ...]:
         got = set(self.achieved)
@@ -193,8 +192,8 @@ class EchelonBasis:
             out[v] = TruncatedSeries.from_terms(terms, self.truncation)
         return out
 
-    def value_set(self, stable: bool = False) -> ValueSet:
-        return ValueSet(self.pivot_valuations, self.truncation, self.tail_from, stable)
+    def value_set(self) -> ValueSet:
+        return ValueSet(self.pivot_valuations, self.truncation, self.tail_from)
 
     def observed_tail_start(self) -> int | None:
         """Least T with every integer of [T, N) a pivot valuation; None if N-1 is not."""

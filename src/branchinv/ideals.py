@@ -9,7 +9,7 @@ exact answers everywhere below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -36,6 +36,7 @@ class FractionalIdeal:
     vmin: int
     value_set: ValueSet
     membership_bound: int  # conductor + vmin: membership is exact mod t^bound
+    _inverse: InverseData | None = field(default=None, repr=False)  # set by inverse()
 
     def contains(self, f: TruncatedSeries) -> bool:
         return self.basis.member(f, self.membership_bound)
@@ -82,7 +83,7 @@ def from_generators(ring: RingData, gens) -> FractionalIdeal:
         generators=gens,
         basis=basis,
         vmin=vmin,
-        value_set=basis.value_set(stable=ring.stable),
+        value_set=basis.value_set(),
         membership_bound=bound,
     )
 
@@ -123,8 +124,10 @@ def inverse(I: FractionalIdeal) -> InverseData:
     elimination from the top): level m admits alpha = t^m + higher terms with
     alpha*I inside R iff the level-m constraint column is spanned by the
     higher columns.  The top level m = c - vmin always works, so the scan
-    cannot run off the end.
+    cannot run off the end.  The result is kept on I, so it is computed once.
     """
+    if I._inverse is not None:
+        return I._inverse
     ring = I.ring
     c = ring.conductor_c
     vmin = I.vmin
@@ -171,7 +174,8 @@ def inverse(I: FractionalIdeal) -> InverseData:
     for g in I.generators:
         if not ring.ring_basis.member(realizer * g, ring.conductor_c):
             raise InternalInconsistency("realizer does not multiply the ideal into R")
-    return InverseData(v_inverse, realizer, inverse_ideal)
+    I._inverse = InverseData(v_inverse, realizer, inverse_ideal)
+    return I._inverse
 
 
 def product(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:

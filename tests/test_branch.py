@@ -1,9 +1,11 @@
 import random
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import branchinv.branch as branch_module
 from branchinv.branch import (
     BranchSpec,
     analyze,
@@ -19,6 +21,16 @@ from branchinv.errors import (
     TruncationExhausted,
 )
 from branchinv.semigroup import sieve
+
+
+def full_ladder_order(ring):
+    """The unbounded m^d ladder, with no closed form and no Hilbert bound:
+    the reference that order_s is checked against."""
+    n = ring.embdim_n
+    d = 1
+    while quotient_dim(m_power_basis(ring, d), m_power_basis(ring, d + 1)) == comb(n + d - 1, d):
+        d += 1
+    return d - 1
 
 
 class TestAnalyzeGolden:
@@ -84,6 +96,46 @@ class TestOrder:
         # k[[t^4, t^5]] = k[[x,y]]/(x^5 - y^4): the relation has degree 4
         ring = analyze(BranchSpec.from_strings(["t^4", "t^5"]))
         assert ring.order_s == 3
+
+    def test_corpus_against_full_ladder(self, corpus):
+        planes = bounded = 0
+        for d in corpus:
+            ring = d.ring
+            n, s, e = ring.embdim_n, ring.order_s, ring.multiplicity
+            if n < 2:
+                continue
+            assert full_ladder_order(ring) == s, ring.name
+            if n == 2:
+                planes += 1
+                assert s == e - 1, ring.name
+            else:
+                bounded += comb(n + s, s + 1) > e  # stopped by H(d) <= e
+        assert planes >= 10 and bounded >= 5
+
+    def test_primitive_pairs_against_full_ladder(self):
+        for b in range(3, 21):
+            for a in range(2, b):
+                if gcd(a, b) != 1:
+                    continue
+                ring = analyze(BranchSpec.from_strings([f"t^{a}", f"t^{b}"]),
+                               verify_stability=False)
+                assert ring.order_s == full_ladder_order(ring) == a - 1, (a, b)
+
+    @pytest.mark.parametrize("gens, truncation", [((9, 10, 12), 128), ((9, 11, 15), 152)])
+    def test_hilbert_bound_keeps_truncation(self, gens, truncation):
+        # H(3) <= 9 < C(5,3) ends the ladder without closing m^4, but the room
+        # c + 4e that m^4 would need still sets the truncation
+        ring = analyze(BranchSpec.from_strings([f"t^{a}" for a in gens]),
+                       verify_stability=False)
+        assert ring.order_s == 2 and ring.truncation == truncation
+        assert max(ring._mpow) == 3
+
+    @pytest.mark.parametrize("a", [4, 5, 7, 8, 10, 11, 13, 16, 19, 20])
+    def test_plane_order_closes_no_higher_power(self, a):
+        ring = analyze(BranchSpec.from_strings([f"t^{a}", f"t^{a + 3}"]),
+                       verify_stability=False)
+        assert ring.order_s == a - 1
+        assert max(ring._mpow) <= 2
 
 
 class TestGorenstein:
@@ -152,6 +204,45 @@ class TestStability:
         ring = analyze(BranchSpec.from_strings(["t^2", "t^3"]), verify_stability=False)
         assert ring.stable is False
         assert ring.gaps == (1,)
+
+    def test_room_reanalyzes_before_verifying(self, monkeypatch):
+        # 64 certifies the ring; room asks for 89, so the ring is re-analyzed
+        # there and only that ring is verified, at 178
+        tried = []
+        analyze_at = branch_module._analyze_at
+
+        def recording(spec, gens, N, max_truncation):
+            tried.append(N)
+            return analyze_at(spec, gens, N, max_truncation)
+
+        monkeypatch.setattr(branch_module, "_analyze_at", recording)
+        ring = analyze(BranchSpec.from_strings(["t^4+t^5", "t^9"]), room=lambda ring: 89)
+        assert tried == [64, 89, 178]
+        assert ring.truncation == 89 and ring.stable is True
+
+    def test_verification_honours_cap(self):
+        with pytest.raises(TruncationExhausted, match="needs truncation 128"):
+            analyze(BranchSpec.from_strings(["t^4+t^5", "t^9"]), max_truncation=100)
+
+    def test_verified_retries_stop_at_half_the_cap(self):
+        # <30,31> needs N > 870 + 31*30 = 1800; 1120 doubles past 2048, half
+        # the cap, so 2048 is tried last and its check at 4096 fits
+        ring = analyze(BranchSpec.from_strings(["t^30", "t^31"]))
+        assert ring.truncation == 2048 and ring.stable is True
+        assert ring.gaps == sieve((30, 31)).gaps
+
+    # Doubling from 2880 passes the cap 4096; the cap itself is then tried.
+    @pytest.mark.parametrize("pair", [(38, 41), (40, 43), (41, 44), (37, 38), (37, 39),
+                                      (38, 39), (39, 40)])
+    def test_cap_tried_before_giving_up(self, pair):
+        ring = analyze(BranchSpec.from_strings([f"t^{a}" for a in pair]),
+                       verify_stability=False)
+        data = sieve(pair)
+        assert ring.truncation == 4096
+        assert ring.gaps == data.gaps
+        assert (ring.conductor_c, ring.delta) == (data.conductor, data.delta)
+        assert ring.gorenstein == data.symmetric
+        assert ring.order_s == pair[0] - 1
 
     def test_truncation_cap_respected(self):
         # <39, 40> has conductor 38*39 = 1482; a tiny cap cannot certify it

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import branchinv.branch
 import branchinv.cli
+import branchinv.ideals
 from branchinv.cli import main, read_branch_file, read_ideal_file
 from branchinv.errors import InternalInconsistency
 
@@ -138,6 +140,67 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "results withheld" in captured.err and "routes disagree" in captured.err
+
+    def test_plane_branch_must_be_gorenstein(self, plane49_file, capsys, monkeypatch):
+        monkeypatch.setattr(branchinv.branch, "_symmetric", lambda gapset, c: False)
+        assert main(["analyze", plane49_file, "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "results withheld" in captured.err and "Gorenstein" in captured.err
+
+    def test_one_verification_per_run(self, plane49_file, capsys, monkeypatch):
+        # 64 certifies the ring, compute re-analyzes at 89, and only the
+        # reported ring is verified
+        tried = []
+        analyze_at = branchinv.branch._analyze_at
+
+        def recording(spec, gens, N, max_truncation):
+            tried.append(N)
+            return analyze_at(spec, gens, N, max_truncation)
+
+        monkeypatch.setattr(branchinv.branch, "_analyze_at", recording)
+        assert main(["analyze", plane49_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["truncation"] == 89
+        assert tried == [64, 89, 178]
+        assert sum(N == 2 * M for N in tried for M in tried) == 1
+
+    def test_verified_run_never_tries_the_cap(self, tmp_path, capsys, monkeypatch):
+        # <38,41> needs N > 2962; with the 2N check to follow, the retries stop
+        # at 2048, half the cap, instead of analysing at 2880 or 4096 in vain
+        tried = []
+        analyze_at = branchinv.branch._analyze_at
+
+        def recording(spec, gens, N, max_truncation):
+            tried.append(N)
+            return analyze_at(spec, gens, N, max_truncation)
+
+        monkeypatch.setattr(branchinv.branch, "_analyze_at", recording)
+        path = tmp_path / "p3841.branch"
+        path.write_text("t^38\nt^41\n", encoding="utf-8")
+        assert main(["analyze", str(path), "--json"]) == 3
+        assert tried == [180, 360, 720, 1440, 2048]
+        err = capsys.readouterr().err
+        assert "no stable analysis below truncation 4096 (m^15 needs truncation above 2050)" in err
+
+    def test_ideal_inverted_once(self, capsys, monkeypatch):
+        # inverse(I) is kept on I, so trace and realizes_itself reuse it;
+        # h_invariant inverts the shifted copy t^-2 I
+        scans = []
+        columns = branchinv.ideals._reduction_columns
+
+        def counting(*args):
+            scans.append(args[1])
+            return columns(*args)
+
+        monkeypatch.setattr(branchinv.ideals, "_reduction_columns", counting)
+        monkeypatch.chdir(REPO)
+        ring = branchinv.branch.analyze(read_branch_file("branches/cusp.branch"))
+        branchinv.cli._ideal_section(ring, "branches/cusp_maximal_ideal.ideal")
+        assert len(scans) == 2
+        scans.clear()
+        assert main(["analyze", "branches/cusp.branch", "--json",
+                     "--ideal", "branches/cusp_maximal_ideal.ideal"]) == 0
+        assert len(scans) == 3
 
     @pytest.mark.parametrize("expected, branch, ideal", GOLDEN_CASES,
                              ids=[case[0] for case in GOLDEN_CASES])
