@@ -46,12 +46,6 @@ class Verdict:
     rule: str | None
     bounds: dict
 
-    def describe(self) -> str:
-        if self.rule is None:
-            return self.status
-        desc, src = RULES[self.rule]
-        return f"{self.status} via {self.rule}: {desc} [{src}]"
-
 
 def main_bound(n: int, s: int) -> Fraction:
     """The binomial torsion bound C(n+s, s) * s/(s+1)."""

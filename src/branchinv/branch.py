@@ -13,6 +13,11 @@ at most e in a one-dimensional Cohen-Macaulay ring.  Both still demand the
 room (c + d*e < N) that the full ladder's closures would need, so the first
 certified N does not depend on which route found s.
 
+Each m^d is closed with its a-priori tail c + d*e, from where it holds every
+valuation, so its closure runs only to c + (d+1)*e.  The ring closure itself
+runs to the full N, since its tail c is what the analysis certifies; the
+certified basis then keeps only its rows below c, as m keeps those of R.
+
 The doubling check re-analyzes at 2N and demands the same invariants.
 `analyze` runs it on request, once, on the ring it returns: when the caller
 names the truncation its later work needs, a ring short of it is re-analyzed
@@ -148,10 +153,10 @@ def m_power_basis(ring: RingData, d: int) -> EchelonBasis:
         basis = ring.ring_basis
     elif d == 1:
         rows = {v: r for v, r in ring.ring_basis._rows.items() if v != 0}
-        basis = EchelonBasis(N, rows).with_tail(max(ring.conductor_c, 1))
+        basis = EchelonBasis(N, rows, max(ring.conductor_c, 1))
     else:
-        tail = _mpow_tail(ring, d)
-        basis = close_under(monomials(ring.generators, d), ring.generators, N).with_tail(tail)
+        basis = close_under(monomials(ring.generators, d), ring.generators, N,
+                            tail_from=_mpow_tail(ring, d))
     ring._mpow[d] = basis
     return basis
 

@@ -21,7 +21,9 @@ Exit codes:
         the cap holds for the first truncation, every retry (the last try is
         the cap, or half of it when the doubling verification follows), the
         doubling verification and the re-analysis that the derivative
-        module needs
+        module needs; a generator whose degree alone would put the first
+        truncation past the cap (past (M - 16)/4, or M - 1 with
+        ``--truncation``) is refused before it is expanded
     4   two independent routes to the same quantity disagreed
         (``InternalInconsistency``); no results are reported
 """
@@ -39,6 +41,7 @@ from .branch import BranchSpec, RingData, analyze
 from .differentials import DifferentialData, compute, required_truncation
 from .errors import (
     BranchInvError,
+    DegreeLimitExceeded,
     GcdNotOne,
     InternalInconsistency,
     ParseError,
@@ -65,7 +68,17 @@ def _read_lines(path: str):
         return fh.read().splitlines()
 
 
-def read_branch_file(path: str) -> BranchSpec:
+def read_branch_file(path: str, max_truncation: int | None = None,
+                     truncation: int | None = None) -> BranchSpec:
+    """The branch in a file.
+
+    Under a truncation cap, a generator whose degree alone needs a first
+    truncation past the cap is refused before it is expanded: that truncation
+    is 4*degree + 16, or above the degree when `truncation` is given.
+    """
+    max_degree = None
+    if max_truncation is not None:
+        max_degree = max_truncation - 1 if truncation is not None else (max_truncation - 16) // 4
     name = None
     exprs = []
     for lineno, raw in enumerate(_read_lines(path), start=1):
@@ -76,9 +89,15 @@ def read_branch_file(path: str) -> BranchSpec:
             name = line.split(":", 1)[1].strip()
             continue
         try:
-            exprs.append(parse_poly(line))
+            exprs.append(parse_poly(line, max_degree))
         except ParseError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}", exc.position) from None
+        except DegreeLimitExceeded as exc:
+            need = exc.degree + 1 if truncation is not None else 4 * exc.degree + 16
+            raise TruncationExhausted(
+                f"{path}:{lineno}: generator degree {exc.degree} needs truncation at least "
+                f"{need}, above the cap {max_truncation} (at position {exc.position})"
+            ) from None
     if not exprs:
         raise BranchInvError(f"{path}: no generator lines found")
     return BranchSpec(tuple(exprs), name=name)
@@ -267,7 +286,7 @@ def _ideal_section(ring: RingData, path: str) -> dict:
 
 def cmd_analyze(args) -> int:
     try:
-        spec = read_branch_file(args.path)
+        spec = read_branch_file(args.path, args.max_truncation, args.truncation)
         ring = analyze(
             spec,
             initial_truncation=args.truncation,

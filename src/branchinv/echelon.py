@@ -11,6 +11,20 @@ multiplication by given multipliers.  Because multiplication by an element of
 valuation >= 0 is well defined mod t^N, the pivot valuations it reports below
 N are the exact achieved valuations of the closed module, not approximations.
 
+A basis may carry an implicit tail: rows are stored only below `tail_from`,
+and every valuation in [tail_from, N) stands for the monomial t^v.  Full
+reduction leaves exactly those monomials as the rows at tail pivots, and no
+key at or above the tail in any row below it, so the stored rows are the
+full basis cut below the tail.  The tail is kept canonical, the least T with
+[T, N) all pivots, so equal spans still give equal bases.  Operations drop
+keys at or above the tail first, since those lie in the span.
+
+A closure told its tail T in advance runs only to truncation T + e, e the
+least multiplier valuation, and must find every valuation of [T, T + e) as a
+pivot: that run, closed under +e, puts every valuation >= T in the value set,
+so t^T k[[t]] lies in the module and the rows below T are exact mod t^N.
+Without the run the claimed tail is refused.
+
 Rows are stored internally as primitive integer vectors (sparse dicts) and
 exposed as monic rational series; exact Fraction arithmetic per element is an
 order of magnitude too slow at the sizes the closure visits.
@@ -165,22 +179,36 @@ class ValueSet:
 
 
 class EchelonBasis:
-    """Immutable valuation-indexed reduced basis of a subspace of k[[t]]/(t^N)."""
+    """Immutable valuation-indexed reduced basis of a subspace of k[[t]]/(t^N).
+
+    With `tail_from` set, rows are stored only below it and every valuation
+    in [tail_from, N) is the implicit monomial t^v.  The tail is lowered to
+    the canonical one, the least T with [T, N) all pivots: a stored pivot just
+    below the tail is, by full reduction, that monomial itself.
+    """
 
     def __init__(self, truncation: int, rows: dict[int, dict[int, int]],
                  tail_from: int | None = None):
+        if tail_from is not None:
+            while tail_from - 1 in rows:
+                tail_from -= 1
+            rows = {v: r for v, r in rows.items() if v < tail_from}
         self.truncation = truncation
         self._rows = rows
         self.tail_from = tail_from
 
+    def _tail(self) -> int:
+        """Start of the implicit tail; the truncation when there is none."""
+        return self.truncation if self.tail_from is None else self.tail_from
+
     # -- inspection --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._rows) + self.truncation - self._tail()
 
     @property
     def pivot_valuations(self) -> tuple[int, ...]:
-        return tuple(sorted(self._rows))
+        return tuple(sorted(self._rows)) + tuple(range(self._tail(), self.truncation))
 
     @property
     def pivots(self) -> dict[int, TruncatedSeries]:
@@ -190,36 +218,30 @@ class EchelonBasis:
             lead = row[v]
             terms = {e: Fraction(a, lead) for e, a in row.items()}
             out[v] = TruncatedSeries.from_terms(terms, self.truncation)
+        for v in range(self._tail(), self.truncation):
+            out[v] = TruncatedSeries.t_power(v, truncation=self.truncation)
         return out
 
     def value_set(self) -> ValueSet:
         return ValueSet(self.pivot_valuations, self.truncation, self.tail_from)
-
-    def observed_tail_start(self) -> int | None:
-        """Least T with every integer of [T, N) a pivot valuation; None if N-1 is not."""
-        if (self.truncation - 1) not in self._rows:
-            return None
-        t = self.truncation - 1
-        while (t - 1) in self._rows:
-            t -= 1
-        return t
 
     def with_tail(self, tail_from: int) -> "EchelonBasis":
         if tail_from >= self.truncation:
             raise UncertifiedTail(
                 f"tail start {tail_from} is not below truncation {self.truncation}"
             )
-        for v in range(tail_from, self.truncation):
+        for v in range(tail_from, self._tail()):
             if v not in self._rows:
                 raise UncertifiedTail(f"valuation {v} missing from claimed tail [{tail_from}, {self.truncation})")
-        return EchelonBasis(self.truncation, self._rows, tail_from)
+        return EchelonBasis(self.truncation, self._rows, min(tail_from, self._tail()))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EchelonBasis)
-            and self.truncation == other.truncation
-            and self._rows == other._rows
-        )
+        if not isinstance(other, EchelonBasis) or self.truncation != other.truncation:
+            return False
+        # a basis without a certified tail compares by its canonical cut
+        a = EchelonBasis(self.truncation, self._rows, self._tail())
+        b = EchelonBasis(other.truncation, other._rows, other._tail())
+        return a.tail_from == b.tail_from and a._rows == b._rows
 
     def __repr__(self) -> str:
         return (f"EchelonBasis(truncation={self.truncation}, "
@@ -234,7 +256,7 @@ class EchelonBasis:
         and is zero iff f lies in the span modulo that window.
         """
         out_trunc = min(f.truncation, self.truncation)
-        num, den = _vec_from_series(f, out_trunc)
+        num, den = _vec_from_series(f, min(out_trunc, self._tail()))
         num, den = _reduce_vec(num, den, self._rows)
         terms = {e: Fraction(a, den) for e, a in num.items() if e < out_trunc}
         return TruncatedSeries.from_terms(terms, out_trunc)
@@ -260,20 +282,30 @@ class EchelonBasis:
                 f"into a basis at truncation t^{self.truncation}"
             )
         b = _Builder(self._rows)
-        if b.insert(*_vec_from_series(f, self.truncation)) is None:
+        if b.insert(*_vec_from_series(f, self._tail())) is None:
             return self, False
         return EchelonBasis(self.truncation, b.rows, self.tail_from), True
 
 
 def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[TruncatedSeries],
-                truncation: int) -> EchelonBasis:
+                truncation: int, tail_from: int | None = None) -> EchelonBasis:
     """Smallest echelon span containing the seed and closed under the multipliers.
 
     Multipliers must have valuation >= 1 so that the fixpoint terminates.  With
     seed {1} and the ring generators as multipliers this is the ring mod t^N;
     with a module's generators as seed it is the module's R-span mod t^N.
+
+    `tail_from` is a tail T the caller knows in advance.  The closure then
+    runs to min(N, T + e) only, e the least multiplier valuation, and raises
+    :class:`UncertifiedTail` unless every valuation of that run from T is a
+    pivot.  The basis returned is at truncation N either way.
     """
     N = int(truncation)
+    cut = N
+    if tail_from is not None:
+        if tail_from >= N:
+            raise UncertifiedTail(f"tail start {tail_from} is not below truncation {N}")
+        cut = min(N, tail_from + min((m.valuation() for m in multipliers), default=N))
     seeds = [s for s in seed if not s.is_zero()]
     floor = min((int(s.valuation()) for s in seeds), default=0)
 
@@ -289,7 +321,7 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
                 f"multiplier known to t^{m.truncation} but closure at t^{N} "
                 f"with window floor {floor} needs t^{needed}"
             )
-        mults.append(_vec_from_series(m, needed))
+        mults.append(_vec_from_series(m, cut - min(0, floor)))
 
     for s in seeds:
         if s.truncation < N:
@@ -298,7 +330,7 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
             )
 
     b = _Builder()
-    queue = [_vec_from_series(s, N) for s in seeds]
+    queue = [_vec_from_series(s, cut) for s in seeds]
     while queue:
         num, den = queue.pop()
         v = b.insert(num, den)
@@ -310,29 +342,41 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
             for e1, a in row.items():
                 for e2, c in mnum.items():
                     e = e1 + e2
-                    if e < N:
+                    if e < cut:
                         prod[e] = prod.get(e, 0) + a * c
             if prod:
                 queue.append((prod, mden))
-    return EchelonBasis(N, b.rows)
+    if tail_from is None:
+        return EchelonBasis(N, b.rows)
+    for v in range(tail_from, cut):
+        if v not in b.rows:
+            raise UncertifiedTail(
+                f"valuation {v} missing from the claimed tail run [{tail_from}, {cut})"
+            )
+    return EchelonBasis(N, b.rows, tail_from)
 
 
 def quotient_dim(big: EchelonBasis, small: EchelonBasis) -> int:
     """Dimension of span(big)/span(small) for nested spans with certified tails.
 
     Both spans contain everything above their tails, so the pivot-count
-    difference is independent of the (shared) truncation.
+    difference is independent of the (shared) truncation.  Canonical tails
+    of nested spans satisfy big.tail_from <= small.tail_from.
     """
     if big.truncation != small.truncation:
         raise ValueError("quotient_dim needs both bases at the same truncation")
     if big.tail_from is None or small.tail_from is None:
         raise UncertifiedTail("quotient_dim needs certified tails on both bases")
+    if small.tail_from < big.tail_from:
+        raise NotNested(f"small basis holds t^{big.tail_from - 1}, outside the big span")
     big_rows = big._rows
     for v, row in small._rows.items():
+        if v >= big.tail_from:
+            continue
         if v not in big_rows:
             raise NotNested(f"small basis has valuation {v} outside the big span")
-        num, den = _reduce_vec(dict(row), 1, big_rows)
-        if any(a for e, a in num.items() if e < big.truncation):
+        num = {e: a for e, a in row.items() if e < big.tail_from}
+        num, den = _reduce_vec(num, 1, big_rows)
+        if any(num.values()):
             raise NotNested(f"pivot at valuation {v} is not in the big span")
     return len(big) - len(small)
-

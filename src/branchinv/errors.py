@@ -34,6 +34,15 @@ class OrderUndetectable(TruncationExhausted):
     pass
 
 
+class DegreeLimitExceeded(TruncationExhausted):
+    """A power or product in a generator would pass the parser's degree limit."""
+
+    def __init__(self, degree: int, limit: int, position: int):
+        super().__init__(f"generator degree {degree} is above {limit} (at position {position})")
+        self.degree = degree
+        self.position = position
+
+
 class InsufficientTruncation(BranchInvError):
     pass
 

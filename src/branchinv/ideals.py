@@ -5,6 +5,10 @@ does so mod t^c (the conductor ideal t^c k[[t]] sits inside R), and f belongs
 to an R-module M iff it does so mod t^(c + vmin(M)) (since t^(c+vmin) k[[t]]
 is contained in the conductor times M).  These convert truncated data into
 exact answers everywhere below.
+
+The second threshold is also each ideal's tail, known before its closure
+runs: `from_generators` closes M with the a-priori tail c + vmin, so the
+closure runs only to c + vmin + e and stores rows only below its tail.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .errors import (
     NotInNormalization,
     RingMismatch,
     ScanExhausted,
+    UncertifiedTail,
 )
 from .series import TruncatedSeries
 
@@ -37,9 +42,6 @@ class FractionalIdeal:
     value_set: ValueSet
     membership_bound: int  # conductor + vmin: membership is exact mod t^bound
     _inverse: InverseData | None = field(default=None, repr=False)  # set by inverse()
-
-    def contains(self, f: TruncatedSeries) -> bool:
-        return self.basis.member(f, self.membership_bound)
 
     def __repr__(self) -> str:
         return (f"FractionalIdeal(vmin={self.vmin}, "
@@ -71,11 +73,10 @@ def from_generators(ring: RingData, gens) -> FractionalIdeal:
             raise InsufficientTruncation(
                 f"generator known to t^{g.truncation} but the ring works at t^{N}"
             )
-    basis = close_under(gens, ring.generators, N)
-    observed = basis.observed_tail_start()
-    if observed is None or observed > bound:
-        raise InternalInconsistency("membership-bound tail missing from ideal closure")
-    basis = basis.with_tail(observed)
+    try:
+        basis = close_under(gens, ring.generators, N, tail_from=bound)
+    except UncertifiedTail as exc:
+        raise InternalInconsistency(f"membership-bound tail missing from ideal closure: {exc}") from None
     if min(basis.pivot_valuations) != vmin:
         raise InternalInconsistency("minimal pivot disagrees with generator valuations")
     return FractionalIdeal(

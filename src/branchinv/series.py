@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import InsufficientTruncation, ParseError
+from .errors import DegreeLimitExceeded, InsufficientTruncation, ParseError
 
 INF = float("inf")
 
@@ -256,13 +256,19 @@ class _Parser:
 
     Each parenthesis level costs four stack frames, so nesting is capped at
     :data:`MAX_NESTING` and deeper input is a :class:`ParseError`, not a
-    ``RecursionError``.
+    ``RecursionError``.  A power or product whose degree would pass
+    `max_degree` is refused before it is expanded.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_degree: int | None = None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.max_degree = max_degree
+
+    def check_degree(self, degree, pos: int):
+        if self.max_degree is not None and degree > self.max_degree:
+            raise DegreeLimitExceeded(degree, self.max_degree, pos)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -305,7 +311,10 @@ class _Parser:
             tok = self.peek()
             if tok[0] == "*":
                 self.advance()
-                poly = poly * self.factor()
+                rhs = self.factor()
+                if not (poly.is_zero() or rhs.is_zero()):
+                    self.check_degree(poly.degree() + rhs.degree(), tok[2])
+                poly = poly * rhs
             elif tok[0] in ("t", "int", "("):
                 raise ParseError(
                     f"implicit multiplication before {tok[1]!r} is not allowed; write '*'", tok[2]
@@ -324,6 +333,8 @@ class _Parser:
             exponent = int(tok[1])
             if self.peek()[0] == "/":
                 raise ParseError("non-integer exponent", self.peek()[2])
+            if not poly.is_zero():
+                self.check_degree(poly.degree() * exponent, tok[2])
             poly = _power(poly, exponent)
         return poly
 
@@ -367,12 +378,13 @@ def _power(f: TruncatedSeries, k: int) -> TruncatedSeries:
     return out
 
 
-def parse_poly(text: str) -> TruncatedSeries:
+def parse_poly(text: str, max_degree: int | None = None) -> TruncatedSeries:
     """Parse an exact polynomial in t into a series known exactly (INF truncation).
 
-    Raises :class:`ParseError` with a position.
+    Raises :class:`ParseError` with a position, and :class:`DegreeLimitExceeded`
+    when a power or product would pass `max_degree`.
     """
-    return _Parser(text).parse()
+    return _Parser(text, max_degree).parse()
 
 
 def parse_series(text: str, truncation: Truncation = INF) -> TruncatedSeries:

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,25 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "8020" in captured.err
+
+    @pytest.mark.parametrize("generator, degree, flags, need", [
+        ("(1+t)^3000-1", 3000, [], 12016),
+        ("(t+t^2)^20000", 40000, [], 160016),
+        ("(t+t^2)^20000", 40000, ["--truncation", "100"], 40001),
+    ])
+    def test_degree_cap_holds_before_expansion(self, tmp_path, capsys, generator, degree,
+                                               flags, need):
+        # the first truncation 4*degree + 16 (or, with --truncation, any
+        # truncation above the degree) passes the cap, so the generator is
+        # refused before it is expanded
+        path = write(tmp_path, "huge.branch", f"t^2\n{generator}\n")
+        start = time.perf_counter()
+        assert main(["analyze", path, "--json"] + flags) == 3
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f":2: generator degree {degree} needs truncation at least {need}, "
+                "above the cap 4096") in captured.err
 
     @pytest.mark.parametrize("value", ["-5", "0"])
     def test_truncation_below_one_is_input_error(self, plane49_file, capsys, value):

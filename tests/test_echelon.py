@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -207,3 +208,63 @@ def test_monomial_pivots_equal_semigroup_sieve(gens):
                 seen.add(v + a)
                 frontier.append(v + a)
     assert set(basis.pivot_valuations) == achieved
+
+
+class TestTail:
+    def test_unreached_tail_raises(self):
+        # 23 is the largest gap of <4,9>: a tail claimed from 20 breaks its run
+        mults = [t("t^4"), t("t^9")]
+        with pytest.raises(UncertifiedTail, match="valuation 23 missing"):
+            close_under([one()], mults, 60, tail_from=20)
+        with pytest.raises(UncertifiedTail, match="valuation 23 missing"):
+            close_under([one()], mults, 60).with_tail(20)
+        assert close_under([one()], mults, 60, tail_from=24).tail_from == 24
+
+    def test_tail_is_canonical(self):
+        # the claimed tail 30 lies above the least one, the conductor 24
+        basis = close_under([one()], [t("t^4+t^5"), t("t^9")], 60, tail_from=30)
+        assert basis.tail_from == 24 and max(basis._rows) == 22
+        assert basis == close_under([one()], [t("t^4+t^5"), t("t^9")], 60)
+
+    def test_insert_lowers_the_tail(self):
+        # adding t^23 to <4,9> fills its last gap; 20, 21, 22 join the tail
+        ring = close_under([one()], [t("t^4"), t("t^9")], 60, tail_from=24)
+        grown, changed = ring.insert(t("t^23+t^40"))
+        assert changed and grown.tail_from == 20 and max(grown._rows) == 18
+        assert grown == close_under([one(), t("t^23")], [t("t^4"), t("t^9")], 60)
+
+
+primitive_pairs = st.tuples(st.integers(2, 7), st.integers(3, 11)).filter(
+    lambda ab: ab[0] < ab[1] and math.gcd(*ab) == 1)
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(primitive_pairs, coefficients, coefficients,
+       st.lists(small_series, min_size=1, max_size=3), st.integers(0, 14),
+       st.lists(small_series, min_size=1, max_size=3))
+def test_tailed_closure_is_uncut_closure_cut_below_tail(ab, p, q, seeds, extra, probes):
+    # R = k[[t^a + p t^(a+1), t^b + q t^(b+2)]] contains t^c k[[t]], so the
+    # R-span of the seeds contains t^(c + vmin) k[[t]]: an a-priori tail
+    a, b = ab
+    mults = [TruncatedSeries.from_terms({a: 1, a + 1: p}),
+             TruncatedSeries.from_terms({b: 1, b + 2: q})]
+    ring = close_under([one()], mults, 4 * (a * b + b))
+    c = ring.truncation
+    while c - 1 in ring.pivot_valuations:
+        c -= 1
+    seeds = [s for s in seeds if not s.is_zero()]
+    if not seeds:
+        return
+    tail = c + min(int(s.valuation()) for s in seeds)
+    N = tail + 1 + extra  # below and above tail + a, the run the closure checks
+    tailed = close_under(seeds, mults, N, tail_from=tail)
+    full = close_under(seeds, mults, N)
+    assert tailed.tail_from <= tail
+    assert full.with_tail(tailed.tail_from)._rows == tailed._rows
+    assert full == tailed
+    assert len(full) == len(tailed) and full.pivot_valuations == tailed.pivot_valuations
+    for f in probes:
+        assert full.reduce(f) == tailed.reduce(f)
+        assert full.member(f, tail) == tailed.member(f, tail)
+        assert full.insert(f)[0] == tailed.insert(f)[0]

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from branchinv.echelon import quotient_dim
+from branchinv.branch import m_power_basis
+from branchinv.echelon import close_under, quotient_dim
 from branchinv.errors import (
     NotAnIntegralIdeal,
     NotInNormalization,
@@ -21,7 +22,7 @@ from branchinv.ideals import (
     realizes_itself,
     trace,
 )
-from branchinv.series import TruncatedSeries, parse_series
+from branchinv.series import TruncatedSeries, monomials, parse_series
 
 tp = TruncatedSeries.t_power
 
@@ -219,3 +220,69 @@ class TestModuleInvariants:
             lam_tr = quotient_dim(ring.ring_basis, tr.basis)
             assert diff.h_omega >= lam_tr
             assert lam_tr >= h_invariant(tr)
+
+
+def _random_series(rng, lo, hi):
+    terms = {rng.randrange(lo, hi): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+             for _ in range(rng.randint(1, 4))}
+    return TruncatedSeries.from_terms(terms)
+
+
+def assert_tail_matches_uncut(full, tailed, rng, lo, bounds):
+    """A tailed basis against the uncut closure at the same N, cut below its tail."""
+    cut = full.with_tail(tailed.tail_from)
+    assert cut._rows == tailed._rows and cut.tail_from == tailed.tail_from
+    assert full == tailed and tailed == cut
+    assert len(full) == len(tailed)
+    assert full.pivot_valuations == tailed.pivot_valuations
+    assert full.pivots == tailed.pivots
+    for _ in range(4):
+        f = _random_series(rng, lo, full.truncation + 3)
+        assert full.reduce(f) == tailed.reduce(f)
+        for bound in bounds:
+            assert full.member(f, bound) == tailed.member(f, bound)
+        (grown_full, changed_full), (grown, changed) = full.insert(f), tailed.insert(f)
+        assert changed_full == changed and grown_full == grown
+        assert len(grown_full) == len(grown)
+
+
+class TestTailOracle:
+    def test_tailed_closures_match_uncut(self, corpus):
+        # D, D^-1, t^c D and m D, closed from their a-priori tail c + vmin,
+        # and m^2 .. m^(s+1) from c + d*e, equal the closures run to N
+        rng = random.Random(6)
+        for diff in corpus:
+            ring = diff.ring
+            N, c, gens = ring.truncation, ring.conductor_c, ring.generators
+            D = diff.D
+            ideals = {
+                "D": D,
+                "D^-1": inverse(D).inverse_ideal,
+                "t^c D": from_generators(ring, tuple(g.shift(c) for g in D.generators)),
+                "m D": from_generators(ring, tuple(x * g for x in gens for g in D.generators)),
+            }
+            full = {}
+            for name, I in ideals.items():
+                full[name] = close_under(I.generators, gens, N)
+                assert I.basis.tail_from <= I.membership_bound, (ring.name, name)
+                assert_tail_matches_uncut(full[name], I.basis, rng, I.vmin,
+                                          (I.membership_bound, N))
+            assert quotient_dim(full["D"].with_tail(D.basis.tail_from),
+                                full["m D"].with_tail(ideals["m D"].basis.tail_from)) \
+                == quotient_dim(D.basis, ideals["m D"].basis) == diff.mu_Jmin
+            assert quotient_dim(close_under([tp(0)], gens, N).with_tail(c),
+                                full["t^c D"].with_tail(ideals["t^c D"].basis.tail_from)) \
+                == quotient_dim(ring.ring_basis, ideals["t^c D"].basis) == diff.lambda_tcD
+            if ring.order_s is None:
+                continue
+            powers = {}
+            for d in range(2, ring.order_s + 2):
+                tail = c + d * ring.multiplicity
+                powers[d] = close_under(monomials(gens, d), gens, N).with_tail(tail)
+                tailed = m_power_basis(ring, d)
+                assert tailed.tail_from <= tail
+                assert_tail_matches_uncut(close_under(monomials(gens, d), gens, N), tailed,
+                                          rng, 0, (tail, N))
+                if d > 2:
+                    assert quotient_dim(powers[d - 1], powers[d]) == \
+                        quotient_dim(m_power_basis(ring, d - 1), tailed)

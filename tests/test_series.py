@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchinv.errors import InsufficientTruncation, ParseError
+from branchinv.errors import DegreeLimitExceeded, InsufficientTruncation, ParseError
 from branchinv.series import (
     INF,
     MAX_NESTING,
@@ -154,6 +154,17 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse_poly("(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1))
         assert exc.value.position == MAX_NESTING
+
+    def test_degree_limit(self):
+        # a power or product past the limit is refused unexpanded; sums and
+        # degrees at the limit pass
+        assert parse_poly("(1+t)^5 + t^5", max_degree=5).degree() == 5
+        assert parse_poly("t^2*t^3", max_degree=5).degree() == 5
+        for text, degree, position in (("(1+t)^6", 6, 6), ("t^3*(1+t^2)^1", 5, 3),
+                                       ("(t+t^2)^40000", 80000, 8)):
+            with pytest.raises(DegreeLimitExceeded) as exc:
+                parse_poly(text, max_degree=4)
+            assert (exc.value.degree, exc.value.position) == (degree, position)
 
     def test_rational_literals(self):
         assert parse_poly("1/2*t + 3").terms() == {0: Fraction(3), 1: Fraction(1, 2)}
