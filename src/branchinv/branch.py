@@ -9,24 +9,29 @@ the value semigroup under +e proves every larger valuation is achieved.
 The order s needs few closures.  A plane branch (n = 2) is k[[x,y]]/(f) with
 ord f = e, so s = e - 1 in closed form.  For n >= 3 the ladder of m^d closures
 stops at the first d with C(n+d-1, d) > e, because H(d) = dim m^d/m^(d+1) is
-at most e in a one-dimensional Cohen-Macaulay ring.  Both still demand the
-room (c + d*e < N) that the full ladder's closures would need, so the first
-certified N does not depend on which route found s.
+at most e in a one-dimensional Cohen-Macaulay ring.
 
 Each m^d is closed with its a-priori tail c + d*e, from where it holds every
 valuation, so its closure runs only to c + (d+1)*e.  The ring closure itself
 runs to the full N, since its tail c is what the analysis certifies; the
 certified basis then keeps only its rows below c, as m keeps those of R.
 
-The doubling check re-analyzes at 2N and demands the same invariants.
-`analyze` runs it on request, once, on the ring it returns: when the caller
-names the truncation its later work needs, a ring short of it is re-analyzed
-before the check, not after.
+None of those stored rows depends on N.  So truncations double from the
+first (the last try is the largest worth one) only until the conductor
+certifies; n and s are then found once, and the rest of the doubling
+sequence is arithmetic.  N has room when c + (s+2)*e < N (c + 2*e < N for
+n = 1), the room of every m^d closure of the full ladder, so the truncation
+reported does not depend on which route found s; a try without room names
+m^d for the least d >= 2 with c + d*e >= N.  `RingData.moved` then takes the
+ring to the first N with room, or to the room its caller names, by re-cutting
+its rows with no closure: what a fresh analysis there would store.  The
+doubling check re-analyzes at 2N and demands the same invariants; `analyze`
+runs it on request, once, on the ring it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb, gcd
 from typing import Callable, Sequence
 
@@ -75,26 +80,36 @@ class RingData:
     order_s: int | None
     gorenstein: bool
     multiplicity: int
-    value_set: ValueSet
     stable: bool
-    max_truncation: int = DEFAULT_MAX_TRUNCATION
     _mpow: dict[int, EchelonBasis] = field(default_factory=dict, repr=False)
 
     @property
     def name(self) -> str | None:
         return self.spec.name
 
+    @property
+    def value_set(self) -> ValueSet:
+        return self.ring_basis.value_set()
+
+    def moved(self, truncation: int) -> "RingData":
+        """This ring at a truncation above every stored tail, with no closure:
+        no stored row of the ring basis or of a cached m^d depends on N."""
+
+        def move(basis: EchelonBasis) -> EchelonBasis:
+            return EchelonBasis(truncation, basis._rows, basis.tail_from)
+
+        return replace(self, truncation=truncation, ring_basis=move(self.ring_basis),
+                       _mpow={d: move(b) for d, b in self._mpow.items()})
+
     def is_regular(self) -> bool:
         return self.embdim_n == 1
 
 
 class _NeedsTruncation(InsufficientTruncation):
-    """Internal retry signal: analyze doubles the truncation and tries again."""
+    """Internal retry signal: no certified conductor run below N."""
 
-    def __init__(self, reason: str, kind: str = "conductor", gcd_evidence: int = 0):
+    def __init__(self, reason: str, gcd_evidence: int = 0):
         super().__init__(reason)
-        self.reason = reason
-        self.kind = kind
         self.gcd_evidence = gcd_evidence
 
 
@@ -136,16 +151,9 @@ def _certify_conductor(achieved: set[int], limit: int, e: int) -> int | None:
     return t
 
 
-def _mpow_tail(ring: RingData, d: int) -> int:
-    """c + d*e, from where m^d holds every valuation; demands it below N."""
-    tail = ring.conductor_c + d * ring.multiplicity
-    if tail >= ring.truncation:
-        raise _NeedsTruncation(f"m^{d} needs truncation above {tail}", kind="order")
-    return tail
-
-
 def m_power_basis(ring: RingData, d: int) -> EchelonBasis:
-    """Echelon basis of m^d mod t^N (d=0 gives the ring itself), tail certified."""
+    """Echelon basis of m^d mod t^N (d=0 gives the ring itself), tail certified;
+    for d >= 2 its tail c + d*e must lie below N."""
     if d in ring._mpow:
         return ring._mpow[d]
     N = ring.truncation
@@ -156,7 +164,7 @@ def m_power_basis(ring: RingData, d: int) -> EchelonBasis:
         basis = EchelonBasis(N, rows, max(ring.conductor_c, 1))
     else:
         basis = close_under(monomials(ring.generators, d), ring.generators, N,
-                            tail_from=_mpow_tail(ring, d))
+                            tail_from=ring.conductor_c + d * ring.multiplicity)
     ring._mpow[d] = basis
     return basis
 
@@ -172,7 +180,7 @@ def order_s(ring: RingData) -> int:
     This detects the least degree s+1 of a relation among the generators: as
     long as the Hilbert function matches the ambient power-series ring's, no
     relation of that degree exists.  Where theory fixes the answer no closure
-    runs, but the room the m^d closures would need is still demanded.
+    runs.
     """
     n = ring.embdim_n
     if n < 2:
@@ -181,20 +189,15 @@ def order_s(ring: RingData) -> int:
     if n > e:
         raise InternalInconsistency(f"embedding dimension {n} exceeds multiplicity {e}")
     if n == 2:
-        # R = k[[x,y]]/(f) with ord f = e, so H(d) = d + 1 exactly for d < e;
-        # the full ladder would close m^3 .. m^(e+1), so demand their room
-        for d in range(3, e + 2):
-            _mpow_tail(ring, d)
+        # R = k[[x,y]]/(f) with ord f = e, so H(d) = d + 1 exactly for d < e
         return e - 1
     d = 2  # H(1) = n by definition
-    while True:
-        if comb(n + d - 1, d) > e:
-            # H(d) <= e, so the pattern breaks here
-            _mpow_tail(ring, d + 1)
-            return d - 1
+    # past C(n+d-1, d) > e the pattern breaks, since H(d) <= e
+    while comb(n + d - 1, d) <= e:
         if quotient_dim(m_power_basis(ring, d), m_power_basis(ring, d + 1)) != comb(n + d - 1, d):
-            return d - 1
+            break
         d += 1
+    return d - 1
 
 
 def is_gorenstein(ring: RingData) -> bool:
@@ -207,15 +210,17 @@ def _symmetric(gapset: set[int], c: int) -> bool:
     return all((z in gapset) != ((c - 1 - z) in gapset) for z in range(c))
 
 
-def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int,
-                max_truncation: int) -> RingData:
-    maxdeg = spec.max_degree()
-    guard = maxdeg + 1
-    e = min(int(g.valuation()) for g in gens)
+def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int) -> RingData:
+    """The ring closed at N with its conductor certified, then n and s.
 
+    Raises _NeedsTruncation only when no certified conductor run exists.  n
+    and s are found, and the ring returned, at max(N, c + (e+1)*e + 1), where
+    every m^d closure of the full ladder fits (s <= e - 1, as H(d) <= e).
+    """
+    e = min(int(g.valuation()) for g in gens)
     basis = close_under([TruncatedSeries.one()], gens, N)
     achieved = set(basis.pivot_valuations)
-    limit = N - guard
+    limit = N - spec.max_degree() - 1
     c = _certify_conductor(achieved, limit, e)
     if c is None:
         nonzero = sorted(achieved - {0})
@@ -228,11 +233,8 @@ def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int,
             scaled = {v // g for v in nonzero} | {0}
             sc = _certify_conductor(scaled, limit // g, max(1, e // g))
             if sc is not None:
-                raise _NeedsTruncation(
-                    f"achieved valuations share gcd {g}", kind="conductor", gcd_evidence=g
-                )
+                raise _NeedsTruncation(f"achieved valuations share gcd {g}", gcd_evidence=g)
         raise _NeedsTruncation("no certified conductor run")
-    basis = basis.with_tail(c)
 
     gaps = tuple(v for v in range(c) if v not in achieved)
     delta = len(gaps)
@@ -240,7 +242,7 @@ def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int,
     ring = RingData(
         spec=spec,
         truncation=N,
-        ring_basis=basis,
+        ring_basis=basis.with_tail(c),
         generators=gens,
         conductor_c=c,
         delta=delta,
@@ -249,10 +251,8 @@ def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int,
         order_s=None,
         gorenstein=_symmetric(set(gaps), c),
         multiplicity=e,
-        value_set=basis.value_set(),
         stable=False,
-        max_truncation=max_truncation,
-    )
+    ).moved(max(N, c + (e + 1) * e + 1))
     ring.embdim_n = embedding_dimension(ring)
     if (ring.embdim_n == 1) != (delta == 0):
         raise InternalInconsistency(
@@ -266,98 +266,85 @@ def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int,
     return ring
 
 
+def _next_try(N: int, limit: int, max_truncation: int, err: type, reason: str) -> int:
+    """The truncation after N in the doubling sequence, whose last try is `limit`."""
+    if N >= limit:
+        raise err(f"no stable analysis below truncation {max_truncation} ({reason})")
+    return min(2 * N, limit)
+
+
 def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
             verify_stability: bool = True,
             max_truncation: int = DEFAULT_MAX_TRUNCATION,
             room: Callable[[RingData], int] | None = None) -> RingData:
     """Full branch analysis with certified conductor and optional 2N verification.
 
-    `room` maps a certified ring to the truncation that later work on it needs
-    (the CLI passes `differentials.required_truncation`).  A ring short of it
-    is re-analyzed there first, so only the ring returned is verified.
+    `room` maps a certified ring to the truncation that later work on it
+    needs (the CLI passes `differentials.required_truncation`).  A ring short
+    of it is moved there before the one verification.
     """
     if initial_truncation is not None and initial_truncation < 1:
         raise BranchInvError(f"initial truncation {initial_truncation} is below 1")
     gens = _validate(spec)
     maxdeg = spec.max_degree()
+    e = min(int(g.valuation()) for g in gens)
     N = initial_truncation if initial_truncation is not None else max(64, 4 * maxdeg + 16)
     if N > max_truncation:
         raise TruncationExhausted(f"truncation {N} is above the cap {max_truncation}")
     # the largest truncation worth a try: a verified ring needs its 2N under the cap
     limit = max_truncation // 2 if verify_stability else max_truncation
 
-    ring = None
     gcd_seen = 0
     while True:
-        try:
-            ring = _analyze_at(spec, gens, N, max_truncation)
-            break
-        except _NeedsTruncation as exc:
-            if exc.gcd_evidence:
-                # an apparently g-scaled semigroup: confirm once at a doubled
-                # truncation, then reject rather than grinding to the cap
-                if exc.gcd_evidence == gcd_seen or 2 * N > max_truncation:
-                    raise ImprimitiveParametrization(exc.gcd_evidence) from None
-                gcd_seen = exc.gcd_evidence
-                N *= 2
-            elif N >= limit:
-                err = OrderUndetectable if exc.kind == "order" else TruncationExhausted
-                raise err(
-                    f"no stable analysis below truncation {max_truncation} ({exc.reason})"
-                ) from None
-            else:
-                # doubling past the limit tries the limit itself last
-                N = min(2 * N, limit)
+        reason = "no certified conductor run"
+        # below e + maxdeg + 1 no run of e certified values fits: skip the closure
+        if N - maxdeg - 1 >= e:
+            try:
+                ring = _analyze_at(spec, gens, N)
+                break
+            except _NeedsTruncation as exc:
+                if exc.gcd_evidence:
+                    # an apparently g-scaled semigroup: confirm once at a doubled
+                    # truncation, then reject rather than grinding to the cap
+                    if exc.gcd_evidence == gcd_seen or 2 * N > max_truncation:
+                        raise ImprimitiveParametrization(exc.gcd_evidence) from None
+                    gcd_seen = exc.gcd_evidence
+                    N *= 2
+                    continue
+                reason = str(exc)
+        N = _next_try(N, limit, max_truncation, TruncationExhausted, reason)
 
-    needed = room(ring) if room is not None else 0
-    if needed > ring.truncation:
-        if verify_stability:
-            _doubled_truncation(ring)  # no check that fails here fits after re-analysis
-        return ensure_truncation(ring, needed, verify_stability=verify_stability)
+    # every later try certifies the same ring, so only its room is in question
+    c = ring.conductor_c
+    top = 2 if ring.order_s is None else ring.order_s + 2
+    while c + top * e >= N:
+        d = max(2, -(-(N - c) // e))  # the least d >= 2 with c + d*e >= N
+        N = _next_try(N, limit, max_truncation, OrderUndetectable,
+                      f"m^{d} needs truncation above {c + d * e}")
+
+    needed = max(N, room(ring)) if room is not None else N
     if verify_stability:
-        _verify(ring)
+        _doubled_truncation(N, max_truncation)  # this ring's 2N is checked first
+    if needed > max_truncation:
+        raise TruncationExhausted(f"truncation {needed} is above the cap {max_truncation}")
+    ring = ring.moved(needed)
+    if verify_stability:
+        # the doubling check: re-analyze at 2N and demand the same invariants
+        double = _analyze_at(spec, gens, _doubled_truncation(needed, max_truncation))
+        if ((double.gaps, double.embdim_n, double.order_s, double.gorenstein)
+                != (ring.gaps, ring.embdim_n, ring.order_s, ring.gorenstein)):
+            raise InternalInconsistency(
+                "doubling verification changed the invariants; "
+                f"N={needed}: gaps={ring.gaps}, 2N: gaps={double.gaps}"
+            )
+        ring.stable = True
     return ring
 
 
-def _doubled_truncation(ring: RingData) -> int:
+def _doubled_truncation(N: int, max_truncation: int) -> int:
     """The truncation 2N of the doubling check; raises when it passes the cap."""
-    double = 2 * ring.truncation
-    if double > ring.max_truncation:
+    if 2 * N > max_truncation:
         raise TruncationExhausted(
-            f"doubling verification needs truncation {double}, above the cap {ring.max_truncation}"
+            f"doubling verification needs truncation {2 * N}, above the cap {max_truncation}"
         )
-    return double
-
-
-def _verify(ring: RingData) -> None:
-    """The doubling check: re-analyze at 2N, demand the same invariants, and
-    mark the ring stable."""
-    double = _analyze_at(ring.spec, ring.generators, _doubled_truncation(ring),
-                         ring.max_truncation)
-    same = (
-        double.gaps == ring.gaps
-        and double.embdim_n == ring.embdim_n
-        and double.order_s == ring.order_s
-        and double.gorenstein == ring.gorenstein
-    )
-    if not same:
-        raise InternalInconsistency(
-            "doubling verification changed the invariants; "
-            f"N={ring.truncation}: gaps={ring.gaps}, 2N: gaps={double.gaps}"
-        )
-    ring.stable = True
-
-
-def ensure_truncation(ring: RingData, needed: int, *,
-                      verify_stability: bool | None = None) -> RingData:
-    """Re-analyze at a larger truncation when downstream work needs more room;
-    the ring's truncation cap still holds, and the new ring is verified when
-    asked, by default when the old one was."""
-    if ring.truncation >= needed:
-        return ring
-    return analyze(
-        ring.spec,
-        initial_truncation=needed,
-        verify_stability=ring.stable if verify_stability is None else verify_stability,
-        max_truncation=ring.max_truncation,
-    )
+    return 2 * N

@@ -16,14 +16,15 @@ Exit codes:
 
     0   the analysis completed (whatever the verdict)
     2   input error: unreadable file, parse error (parentheses nest at most
-        100 deep), invalid or imprimitive parametrization, ``--truncation`` < 1
+        100 deep), invalid or imprimitive parametrization, a zero ideal
+        generator, ``--truncation`` < 1
     3   no certified analysis fits under ``--max-truncation`` (default 4096);
         the cap holds for the first truncation, every retry (the last try is
         the cap, or half of it when the doubling verification follows), the
-        doubling verification and the re-analysis that the derivative
-        module needs; a generator whose degree alone would put the first
-        truncation past the cap (past (M - 16)/4, or M - 1 with
-        ``--truncation``) is refused before it is expanded
+        truncation the derivative module needs (the certified ring is moved
+        there, then verified) and the doubling verification; a generator
+        whose degree alone would put the first truncation past the cap (past
+        (M - 16)/4, or M - 1 with ``--truncation``) is refused unexpanded
     4   two independent routes to the same quantity disagreed
         (``InternalInconsistency``); no results are reported
 """
@@ -91,7 +92,8 @@ def read_branch_file(path: str, max_truncation: int | None = None,
         try:
             exprs.append(parse_poly(line, max_degree))
         except ParseError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}", exc.position) from None
+            exc.args = (f"{path}:{lineno}: {exc}",)  # its text ends in the position
+            raise
         except DegreeLimitExceeded as exc:
             need = exc.degree + 1 if truncation is not None else 4 * exc.degree + 16
             raise TruncationExhausted(
@@ -122,9 +124,13 @@ def read_ideal_file(path: str) -> tuple[int, list, str | None]:
                 raise BranchInvError(f"{path}:{lineno}: shift header needs an integer") from None
             continue
         try:
-            exprs.append(parse_poly(line))
+            expr = parse_poly(line)
         except ParseError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}", exc.position) from None
+            exc.args = (f"{path}:{lineno}: {exc}",)
+            raise
+        if expr.is_zero():
+            raise BranchInvError(f"{path}:{lineno}: an ideal generator must be nonzero")
+        exprs.append(expr)
     if not exprs:
         raise BranchInvError(f"{path}: no generator lines found")
     return shift, exprs, name

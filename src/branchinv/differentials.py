@@ -10,13 +10,17 @@ The realized copy J = alpha D (alpha realizes v(D^{-1})) carries alpha's large
 coefficients and is never closed.  J is isomorphic to D, so mu(J) = mu(D).
 Once J lies in m^s, m J lies in m^(s+1), so J + m^(s+1) is the k-span of the n
 products alpha x_i' added to the m^(s+1) basis.
+
+This work needs the ring at `required_truncation`: a ring short of it is moved
+there with no closure (`RingData.moved`), and the CLI asks `analyze` for that
+room, so the ring it verifies is the one used here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branch import RingData, ensure_truncation, m_power_basis
+from .branch import RingData, m_power_basis
 from .echelon import quotient_dim
 from .errors import InternalInconsistency
 from .ideals import (
@@ -62,9 +66,9 @@ def required_truncation(ring: RingData) -> int:
 
 
 def compute(ring: RingData) -> DifferentialData:
-    """All derivative-module invariants, cross-checked; may re-analyze the ring
-    at a larger truncation when the conductor demands more room."""
-    ring = ensure_truncation(ring, required_truncation(ring))
+    """All derivative-module invariants, cross-checked.  A ring short of
+    `required_truncation` is moved there first, with no closure."""
+    ring = ring.moved(max(ring.truncation, required_truncation(ring)))
     c = ring.conductor_c
     delta = ring.delta
 

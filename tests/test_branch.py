@@ -14,13 +14,15 @@ from branchinv.branch import (
     m_power_basis,
     order_s,
 )
-from branchinv.echelon import quotient_dim
+from branchinv.echelon import close_under, quotient_dim
 from branchinv.errors import (
     ImprimitiveParametrization,
     NonPositiveValuationGenerator,
     TruncationExhausted,
+    UncertifiedTail,
 )
 from branchinv.semigroup import sieve
+from branchinv.series import TruncatedSeries, monomials
 
 
 def full_ladder_order(ring):
@@ -31,6 +33,80 @@ def full_ladder_order(ring):
     while quotient_dim(m_power_basis(ring, d), m_power_basis(ring, d + 1)) == comb(n + d - 1, d):
         d += 1
     return d - 1
+
+
+def _closed_at(exps, N):
+    """(c, gaps, n, s) of the monomial branch <exps> at truncation N, or the
+    text naming what N lacks: the first m^d of the full ladder whose tail
+    close_under refuses at N.
+
+    The ring is closed at N.  m^d mod t^N is spanned by the monomials whose
+    exponents are sums of at least d generators, so its valuations are
+    counted directly: echelon closures of the full ladder at every N would
+    take about a minute over the pairs up to 40.
+    """
+    gens = tuple(TruncatedSeries.t_power(a) for a in exps)
+    e, maxdeg = min(exps), max(exps)
+    achieved = set(close_under([TruncatedSeries.one()], gens, N).pivot_valuations)
+    top = N - maxdeg - 1  # the closure certifies the valuations below this
+    c = top
+    while c - 1 >= 0 and c - 1 in achieved:
+        c -= 1
+    if top - c < e or c >= top:
+        return "no certified conductor run"
+    gaps = tuple(v for v in range(c) if v not in achieved)
+    power = achieved - {0}  # the valuations of m^d below N, d = 1, 2, ...
+    d = 1
+    while True:
+        tail = c + (d + 1) * e
+        if tail >= N:
+            with pytest.raises(UncertifiedTail):
+                close_under(gens, gens, N, tail_from=tail)
+            return f"m^{d + 1} needs truncation above {tail}"
+        higher = {v + a for v in power for a in exps if v + a < N}
+        h = len(power) - len(higher)
+        power = higher
+        if d == 1:
+            n = h
+            if n == 1:
+                return c, gaps, 1, None
+        elif h != comb(n + d - 1, d):
+            return c, gaps, n, d - 1
+        d += 1
+
+
+def reference_truncation(exps, verify=True, cap=4096):
+    """The truncation `analyze` reports for <exps>, with its invariants, or
+    its exit-3 text, from closures at every N of the doubling sequence: the
+    reference for the truncation plan, which closes the ring only until the
+    conductor certifies and finds n and s once."""
+    N = max(64, 4 * max(exps) + 16)
+    limit = cap // 2 if verify else cap
+    while True:
+        found = _closed_at(exps, N)
+        if not isinstance(found, str):
+            break
+        if N >= limit:
+            return f"no stable analysis below truncation {cap} ({found})"
+        N = min(2 * N, limit)
+    if verify:
+        if 2 * N > cap:
+            return f"doubling verification needs truncation {2 * N}, above the cap {cap}"
+        assert _closed_at(exps, 2 * N) == found
+    return N, found
+
+
+def _analyzed(exps, verify=True, cap=4096):
+    try:
+        ring = analyze(BranchSpec.from_strings([f"t^{a}" for a in exps]),
+                       verify_stability=verify, max_truncation=cap)
+    except TruncationExhausted as exc:
+        return str(exc)
+    return ring.truncation, (ring.conductor_c, ring.gaps, ring.embdim_n, ring.order_s)
+
+
+def _primitive_pairs(top):
+    return [(a, b) for b in range(3, top + 1) for a in range(2, b) if gcd(a, b) == 1]
 
 
 class TestAnalyzeGolden:
@@ -205,19 +281,19 @@ class TestStability:
         assert ring.stable is False
         assert ring.gaps == (1,)
 
-    def test_room_reanalyzes_before_verifying(self, monkeypatch):
-        # 64 certifies the ring; room asks for 89, so the ring is re-analyzed
-        # there and only that ring is verified, at 178
+    def test_room_moves_before_verifying(self, monkeypatch):
+        # 64 certifies the ring; room asks for 89, so the ring is moved there
+        # with no closure, and only that ring is verified, at 178
         tried = []
         analyze_at = branch_module._analyze_at
 
-        def recording(spec, gens, N, max_truncation):
+        def recording(spec, gens, N):
             tried.append(N)
-            return analyze_at(spec, gens, N, max_truncation)
+            return analyze_at(spec, gens, N)
 
         monkeypatch.setattr(branch_module, "_analyze_at", recording)
         ring = analyze(BranchSpec.from_strings(["t^4+t^5", "t^9"]), room=lambda ring: 89)
-        assert tried == [64, 89, 178]
+        assert tried == [64, 178]
         assert ring.truncation == 89 and ring.stable is True
 
     def test_verification_honours_cap(self):
@@ -243,6 +319,32 @@ class TestStability:
         assert (ring.conductor_c, ring.delta) == (data.conductor, data.delta)
         assert ring.gorenstein == data.symmetric
         assert ring.order_s == pair[0] - 1
+
+    def test_unverified_pairs_against_reference(self):
+        for pair in _primitive_pairs(40):
+            assert _analyzed(pair, verify=False) == reference_truncation(pair, verify=False), pair
+
+    @pytest.mark.parametrize("verify, cap", [(True, 4096), (True, 1024), (False, 1024)])
+    def test_pairs_against_reference(self, verify, cap):
+        for pair in _primitive_pairs(20):
+            assert _analyzed(pair, verify, cap) == reference_truncation(pair, verify, cap), pair
+
+    def test_moved_ring_equals_fresh_closures(self, corpus):
+        # compute moved each ring to required_truncation with no closure; a
+        # fresh closure there of the ring and of every cached m^d agrees
+        moved = 0
+        for d in corpus:
+            ring = d.ring
+            N, c, e, gens = ring.truncation, ring.conductor_c, ring.multiplicity, ring.generators
+            assert ring.ring_basis == close_under([TruncatedSeries.one()], gens, N).with_tail(c)
+            for k, basis in ring._mpow.items():
+                if k == 1:
+                    fresh = close_under(gens, gens, N, tail_from=max(c, 1))
+                else:
+                    fresh = close_under(monomials(gens, k), gens, N, tail_from=c + k * e)
+                assert basis == fresh, (ring.name, k)
+            moved += N > analyze(ring.spec).truncation
+        assert moved >= 10
 
     def test_truncation_cap_respected(self):
         # <39, 40> has conductor 38*39 = 1482; a tiny cap cannot certify it

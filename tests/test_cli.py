@@ -32,6 +32,19 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def record_tries(monkeypatch):
+    """The truncations `_analyze_at` is called at, in order."""
+    tried = []
+    analyze_at = branchinv.branch._analyze_at
+
+    def recording(spec, gens, N):
+        tried.append(N)
+        return analyze_at(spec, gens, N)
+
+    monkeypatch.setattr(branchinv.branch, "_analyze_at", recording)
+    return tried
+
+
 @pytest.fixture
 def plane49_file(tmp_path):
     return write(tmp_path, "plane49.branch", "name: plane49\nt^4+t^5\nt^9\n")
@@ -49,6 +62,23 @@ class TestBranchFiles:
         assert main(["analyze", path]) == 2
         err = capsys.readouterr().err
         assert ":2:" in err
+
+    @pytest.mark.parametrize("flag", [None, "--ideal"])
+    def test_parse_error_prints_position_once(self, tmp_path, capsys, flag):
+        bad = write(tmp_path, "bad.branch", "t^2\nt^-1\n")
+        argv = ["analyze", bad] if flag is None else [
+            "analyze", write(tmp_path, "c.branch", "t^2\nt^3\n"), "--ideal", bad]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: exponent must be a nonnegative integer (at position 2)\n")
+
+    def test_zero_ideal_generator_is_input_error(self, tmp_path, capsys):
+        branch = write(tmp_path, "c.branch", "t^2\nt^3\n")
+        ideal = write(tmp_path, "z.ideal", "t^2\n0\n")
+        assert main(["analyze", branch, "--json", "--ideal", ideal]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {ideal}:2: an ideal generator must be nonzero\n"
 
     def test_deep_nesting_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path, "deep.branch", "(" * 3000 + "t" + ")" * 3000 + "\nt^3\n")
@@ -169,38 +199,33 @@ class TestAnalyzeCommand:
         assert "results withheld" in captured.err and "Gorenstein" in captured.err
 
     def test_one_verification_per_run(self, plane49_file, capsys, monkeypatch):
-        # 64 certifies the ring, compute re-analyzes at 89, and only the
-        # reported ring is verified
-        tried = []
-        analyze_at = branchinv.branch._analyze_at
-
-        def recording(spec, gens, N, max_truncation):
-            tried.append(N)
-            return analyze_at(spec, gens, N, max_truncation)
-
-        monkeypatch.setattr(branchinv.branch, "_analyze_at", recording)
+        # 64 certifies the ring, which is moved to the 89 that compute needs
+        # with no closure; only the reported ring is verified, at 178
+        tried = record_tries(monkeypatch)
         assert main(["analyze", plane49_file, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["truncation"] == 89
-        assert tried == [64, 89, 178]
-        assert sum(N == 2 * M for N in tried for M in tried) == 1
+        assert tried == [64, 178]
 
     def test_verified_run_never_tries_the_cap(self, tmp_path, capsys, monkeypatch):
         # <38,41> needs N > 2962; with the 2N check to follow, the retries stop
         # at 2048, half the cap, instead of analysing at 2880 or 4096 in vain
-        tried = []
-        analyze_at = branchinv.branch._analyze_at
-
-        def recording(spec, gens, N, max_truncation):
-            tried.append(N)
-            return analyze_at(spec, gens, N, max_truncation)
-
-        monkeypatch.setattr(branchinv.branch, "_analyze_at", recording)
+        tried = record_tries(monkeypatch)
         path = tmp_path / "p3841.branch"
         path.write_text("t^38\nt^41\n", encoding="utf-8")
         assert main(["analyze", str(path), "--json"]) == 3
         assert tried == [180, 360, 720, 1440, 2048]
         err = capsys.readouterr().err
         assert "no stable analysis below truncation 4096 (m^15 needs truncation above 2050)" in err
+
+    def test_tries_that_cannot_certify_are_skipped(self, tmp_path, capsys, monkeypatch):
+        # below 3000 + 1 + e no run of e certified values fits, so no
+        # truncation of 100 .. 2048 closes the ring
+        tried = record_tries(monkeypatch)
+        path = write(tmp_path, "wide.branch", "t^2\nt^3+t^3000\n")
+        assert main(["analyze", path, "--json", "--truncation", "100"]) == 3
+        assert tried == []
+        assert capsys.readouterr().err == (
+            "error: no stable analysis below truncation 4096 (no certified conductor run)\n")
 
     def test_ideal_inverted_once(self, capsys, monkeypatch):
         # inverse(I) is kept on I, so trace and realizes_itself reuse it;
