@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .berger import Verdict, main_bound, refined_bound, verdict
 from .branch import BranchSpec, RingData, analyze
 from .differentials import DifferentialData, compute, derivative_module
-from .echelon import EchelonBasis, ValueSet, close_under, quotient_dim
+from .echelon import EchelonBasis, close_under, quotient_dim
 from .ideals import (
     FractionalIdeal,
     InverseData,
@@ -41,7 +41,6 @@ __all__ = [
     "RingData",
     "SemigroupData",
     "TruncatedSeries",
-    "ValueSet",
     "Verdict",
     "analyze",
     "close_under",

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from math import comb, gcd
 from typing import Callable, Sequence
 
-from .echelon import EchelonBasis, ValueSet, close_under, quotient_dim
+from .echelon import EchelonBasis, close_under, quotient_dim
 from .errors import (
     BranchInvError,
     ImprimitiveParametrization,
@@ -86,10 +86,6 @@ class RingData:
     @property
     def name(self) -> str | None:
         return self.spec.name
-
-    @property
-    def value_set(self) -> ValueSet:
-        return self.ring_basis.value_set()
 
     def moved(self, truncation: int) -> "RingData":
         """This ring at a truncation above every stored tail, with no closure:

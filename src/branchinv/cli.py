@@ -22,7 +22,9 @@ Exit codes:
         the cap holds for the first truncation, every retry (the last try is
         the cap, or half of it when the doubling verification follows), the
         truncation the derivative module needs (the certified ring is moved
-        there, then verified) and the doubling verification; a generator
+        there, then verified), the doubling verification and the room an
+        ``--ideal`` needs, c + max(vmin, c) + e + 1 (the ring is moved there
+        for the ideal alone; the reported truncation stays); a generator
         whose degree alone would put the first truncation past the cap (past
         (M - 16)/4, or M - 1 with ``--truncation``) is refused unexpanded
     4   two independent routes to the same quantity disagreed
@@ -45,16 +47,11 @@ from .errors import (
     DegreeLimitExceeded,
     GcdNotOne,
     InternalInconsistency,
+    NotAnIntegralIdeal,
     ParseError,
     TruncationExhausted,
 )
-from .ideals import (
-    from_generators,
-    h_invariant,
-    inverse,
-    realizes_itself,
-    trace,
-)
+from .ideals import from_generators, h_invariant, inverse, realizes_itself, trace
 from .semigroup import sieve
 from .series import TruncatedSeries, parse_poly
 
@@ -269,15 +266,24 @@ def render_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ideal_section(ring: RingData, path: str) -> dict:
+def _ideal_section(ring: RingData, path: str, max_truncation: int) -> dict:
     shift, exprs, _name = read_ideal_file(path)
-    gens = [e.shift(-shift) for e in exprs]
-    ideal = from_generators(ring, tuple(gens))
+    gens = tuple(e.shift(-shift) for e in exprs)
+    # I's closure needs c + vmin + e below the truncation, and the trace's
+    # c + vmin + v(I^-1) + e, where v(I^-1) <= c - vmin; the ring is moved
+    # there with no closure, and the report keeps the ring's own truncation
+    vmin = min(int(g.valuation()) for g in gens)
+    needed = ring.conductor_c + max(vmin, ring.conductor_c) + ring.multiplicity + 1
+    if needed > max_truncation:
+        raise TruncationExhausted(
+            f"ideal with vmin {vmin} needs truncation {needed}, above the cap {max_truncation}")
+    ideal = from_generators(ring.moved(max(ring.truncation, needed)), gens)
     inv = inverse(ideal)
     tr = trace(ideal)
-    integral = ideal.vmin >= 0 and all(
-        ring.ring_basis.member(g, ring.conductor_c) for g in ideal.generators
-    )
+    try:
+        realizes = realizes_itself(ideal)
+    except NotAnIntegralIdeal:
+        realizes = None
     return {
         "path": path,
         "shift": shift,
@@ -285,8 +291,8 @@ def _ideal_section(ring: RingData, path: str) -> dict:
         "h": h_invariant(ideal),
         "v_inverse": inv.v_inverse,
         "trace_vmin": tr.vmin,
-        "trace_gaps": list(tr.value_set.gaps_below(tr.membership_bound, tr.vmin)),
-        "realizes_itself": realizes_itself(ideal) if integral else None,
+        "trace_gaps": list(tr.basis.gaps_below(tr.membership_bound, tr.vmin)),
+        "realizes_itself": realizes,
     }
 
 
@@ -302,7 +308,8 @@ def cmd_analyze(args) -> int:
         )
         diff = compute(ring)
         vd = verdict(diff)
-        ideal_section = _ideal_section(diff.ring, args.ideal) if args.ideal else None
+        ideal_section = (_ideal_section(diff.ring, args.ideal, args.max_truncation)
+                         if args.ideal else None)
     except TruncationExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -32,7 +32,6 @@ order of magnitude too slow at the sizes the closure visits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -161,21 +160,8 @@ class _Builder:
 
 
 # ---------------------------------------------------------------------------
-# public value types
+# the public basis
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValueSet:
-    """Achieved valuations of a subspace, with tail certification metadata."""
-
-    achieved: tuple[int, ...]
-    truncation: int
-    tail_from: int | None = None
-
-    def gaps_below(self, bound: int, start: int = 0) -> tuple[int, ...]:
-        got = set(self.achieved)
-        return tuple(v for v in range(start, bound) if v not in got)
 
 
 class EchelonBasis:
@@ -222,8 +208,11 @@ class EchelonBasis:
             out[v] = TruncatedSeries.t_power(v, truncation=self.truncation)
         return out
 
-    def value_set(self) -> ValueSet:
-        return ValueSet(self.pivot_valuations, self.truncation, self.tail_from)
+    def gaps_below(self, bound: int, start: int = 0) -> tuple[int, ...]:
+        """The valuations in [start, bound) that no pivot attains."""
+        tail = self._tail()
+        return tuple(v for v in range(start, bound)
+                     if v not in self._rows and not tail <= v < self.truncation)
 
     def with_tail(self, tail_from: int) -> "EchelonBasis":
         if tail_from >= self.truncation:

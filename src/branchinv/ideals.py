@@ -9,6 +9,11 @@ exact answers everywhere below.
 The second threshold is also each ideal's tail, known before its closure
 runs: `from_generators` closes M with the a-priori tail c + vmin, so the
 closure runs only to c + vmin + e and stores rows only below its tail.
+
+Closures run only where an answer needs a span.  The inverse scan yields
+generators of R :_K I, which only the trace reads, and the trace closes
+I * I^{-1} from their products with I's; h needs no closure past I's own,
+since it is invariant under I -> t^k I.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .branch import RingData
-from .echelon import EchelonBasis, ValueSet, _Builder, close_under, quotient_dim
+from .echelon import EchelonBasis, _Builder, close_under, quotient_dim
 from .errors import (
     InsufficientTruncation,
     InternalInconsistency,
@@ -39,20 +44,19 @@ class FractionalIdeal:
     generators: tuple[TruncatedSeries, ...]
     basis: EchelonBasis
     vmin: int
-    value_set: ValueSet
     membership_bound: int  # conductor + vmin: membership is exact mod t^bound
     _inverse: InverseData | None = field(default=None, repr=False)  # set by inverse()
 
     def __repr__(self) -> str:
         return (f"FractionalIdeal(vmin={self.vmin}, "
-                f"gaps={list(self.value_set.gaps_below(self.membership_bound, self.vmin))})")
+                f"gaps={list(self.basis.gaps_below(self.membership_bound, self.vmin))})")
 
 
 @dataclass(frozen=True)
 class InverseData:
     v_inverse: int
     realizer: TruncatedSeries
-    inverse_ideal: FractionalIdeal
+    generators: tuple[TruncatedSeries, ...]  # of R :_K I, as an R-module
 
 
 def from_generators(ring: RingData, gens) -> FractionalIdeal:
@@ -77,14 +81,15 @@ def from_generators(ring: RingData, gens) -> FractionalIdeal:
         basis = close_under(gens, ring.generators, N, tail_from=bound)
     except UncertifiedTail as exc:
         raise InternalInconsistency(f"membership-bound tail missing from ideal closure: {exc}") from None
-    if min(basis.pivot_valuations) != vmin:
+    # the least pivot, read without listing the tail [c + vmin, N): a far
+    # negative vmin makes that tail as long as -vmin
+    if min(basis._rows, default=basis.tail_from) != vmin:
         raise InternalInconsistency("minimal pivot disagrees with generator valuations")
     return FractionalIdeal(
         ring=ring,
         generators=gens,
         basis=basis,
         vmin=vmin,
-        value_set=basis.value_set(),
         membership_bound=bound,
     )
 
@@ -119,28 +124,21 @@ def _reduction_columns(ring: RingData, gens, w_lo: int, w_hi: int):
 
 
 def inverse(I: FractionalIdeal) -> InverseData:
-    """v(I^{-1}), a realizer attaining it, and the full inverse ideal R :_K I.
+    """v(I^{-1}), a realizer attaining it, and generators of R :_K I.
 
     Scans candidate valuations m upward (implemented as one incremental
     elimination from the top): level m admits alpha = t^m + higher terms with
     alpha*I inside R iff the level-m constraint column is spanned by the
     higher columns.  The top level m = c - vmin always works, so the scan
-    cannot run off the end.  The result is kept on I, so it is computed once.
+    cannot run off the end.  The solutions, one per admitted level, and
+    t^(c-vmin+j) for 0 < j < c generate R :_K I; nothing here closes them.
+    The result is kept on I, so it is computed once.
     """
     if I._inverse is not None:
         return I._inverse
     ring = I.ring
     c = ring.conductor_c
-    vmin = I.vmin
-    N = ring.truncation
-    # the inverse ideal reaches valuations up to c - vmin, so its own closure
-    # needs room up to (c + (c - vmin)) + multiplicity below the truncation
-    needed = 2 * c - vmin + ring.multiplicity + 1
-    if N < needed:
-        raise InsufficientTruncation(
-            f"inverse of an ideal with vmin {vmin} needs truncation at least {needed}, have {N}"
-        )
-    lo, hi = -vmin, c - vmin
+    lo, hi = -I.vmin, c - I.vmin
     cols = _reduction_columns(ring, I.generators, lo, hi)
 
     # Elimination from w = hi down to lo.  Level w carries the augmentation
@@ -169,13 +167,12 @@ def inverse(I: FractionalIdeal) -> InverseData:
         raise ScanExhausted("no multiplier found; preconditions violated")
     v_inverse = min(solutions)
     realizer = solutions[v_inverse]
-    tail = [TruncatedSeries.t_power(hi + j) for j in range(1, max(c, 1))]
-    inv_gens = [solutions[w] for w in sorted(solutions)] + tail
-    inverse_ideal = from_generators(ring, inv_gens)
+    inv_gens = tuple(solutions[w] for w in sorted(solutions)) + tuple(
+        TruncatedSeries.t_power(hi + j) for j in range(1, max(c, 1)))
     for g in I.generators:
-        if not ring.ring_basis.member(realizer * g, ring.conductor_c):
+        if not ring.ring_basis.member(realizer * g, c):
             raise InternalInconsistency("realizer does not multiply the ideal into R")
-    I._inverse = InverseData(v_inverse, realizer, inverse_ideal)
+    I._inverse = InverseData(v_inverse, realizer, inv_gens)
     return I._inverse
 
 
@@ -191,9 +188,10 @@ def product(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
 
 
 def trace(I: FractionalIdeal) -> FractionalIdeal:
-    """The trace ideal I * I^{-1} (the sum of images of all maps I -> R)."""
+    """The trace ideal I * I^{-1} (the sum of images of all maps I -> R),
+    closed from the pairwise products of I's and I^{-1}'s generators."""
     inv = inverse(I)
-    out = product(I, inv.inverse_ideal)
+    out = from_generators(I.ring, tuple(g * h for g in I.generators for h in inv.generators))
     if out.vmin != I.vmin + inv.v_inverse:
         raise InternalInconsistency("trace valuation disagrees with scan minimum")
     return out
@@ -203,23 +201,19 @@ def colength_in_normalization(I: FractionalIdeal) -> int:
     """Number of nonnegative valuations missing from the value set (= length of k[[t]]/I)."""
     if I.vmin < 0:
         raise NotInNormalization(f"ideal has vmin {I.vmin} < 0, not inside k[[t]]")
-    return len(I.value_set.gaps_below(I.membership_bound))
+    return len(I.basis.gaps_below(I.membership_bound))
 
 
 def h_invariant(I: FractionalIdeal) -> int:
     """Minimal colength of an integral isomorphic copy of I.
 
-    Computed on the normalized copy t^(-vmin) I as (gaps of the copy) - delta
-    + v(copy^{-1}); invariant under replacing I by any nonzero multiple.
+    On the normalized copy J = t^(-vmin) I it is lambda(k[[t]]/J) - delta +
+    v(J^{-1}).  Multiplying by t^k moves every valuation of I up by k and
+    v(I^{-1}) down by k, so h(t^k I) = h(I), and I's own data give it:
+    (gaps of v(I) in [vmin, c + vmin)) - delta + v(I^{-1}) + vmin.
     """
-    ring = I.ring
-    if I.vmin == 0:
-        normalized = I
-    else:
-        normalized = from_generators(ring, tuple(g.shift(-I.vmin) for g in I.generators))
-    lam = colength_in_normalization(normalized)
-    v_inv = inverse(normalized).v_inverse
-    return lam - ring.delta + v_inv
+    gaps = I.basis.gaps_below(I.membership_bound, I.vmin)
+    return len(gaps) - I.ring.delta + inverse(I).v_inverse + I.vmin
 
 
 def min_generators(I: FractionalIdeal) -> int:

@@ -72,7 +72,7 @@ def test_criterion_3_plane_branch_golden(diff_plane49):
         ring = d.ring
         assert ring.gaps == (1, 2, 3, 5, 6, 7, 10, 11, 14, 15, 19, 23)
         assert ring.delta == 12
-        gaps_D = d.D.value_set.gaps_below(d.D.membership_bound)
+        gaps_D = d.D.basis.gaps_below(d.D.membership_bound)
         assert gaps_D == (0, 1, 2, 4, 5, 6, 9, 10, 14)
         assert d.lambda_D == 9
         assert d.v_Dinv == 9
@@ -119,10 +119,10 @@ def test_criterion_6_invariance_properties(corpus):
             assert h_invariant(scaled) == d.h_omega
             # the trace of an isomorphic copy is the same module: alpha cancels
             tr_scaled, tr_D = trace(scaled), trace(d.D)
-            assert tr_scaled.value_set.achieved == tr_D.value_set.achieved
+            assert tr_scaled.basis.pivot_valuations == tr_D.basis.pivot_valuations
             assert tr_scaled.basis == tr_D.basis
             inv = inverse(d.D)
-            assert product(d.D, inv.inverse_ideal).vmin == d.D.vmin + inv.v_inverse
+            assert product(d.D, from_generators(ring, inv.generators)).vmin == d.D.vmin + inv.v_inverse
 
 
 def test_criterion_7_conductor_colength(corpus):

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -228,8 +229,8 @@ class TestAnalyzeCommand:
             "error: no stable analysis below truncation 4096 (no certified conductor run)\n")
 
     def test_ideal_inverted_once(self, capsys, monkeypatch):
-        # inverse(I) is kept on I, so trace and realizes_itself reuse it;
-        # h_invariant inverts the shifted copy t^-2 I
+        # inverse(I) is kept on I, so trace, h_invariant and realizes_itself
+        # reuse it; a full run scans once more, for D
         scans = []
         columns = branchinv.ideals._reduction_columns
 
@@ -240,12 +241,12 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(branchinv.ideals, "_reduction_columns", counting)
         monkeypatch.chdir(REPO)
         ring = branchinv.branch.analyze(read_branch_file("branches/cusp.branch"))
-        branchinv.cli._ideal_section(ring, "branches/cusp_maximal_ideal.ideal")
-        assert len(scans) == 2
+        branchinv.cli._ideal_section(ring, "branches/cusp_maximal_ideal.ideal", 4096)
+        assert len(scans) == 1
         scans.clear()
         assert main(["analyze", "branches/cusp.branch", "--json",
                      "--ideal", "branches/cusp_maximal_ideal.ideal"]) == 0
-        assert len(scans) == 3
+        assert len(scans) == 2
 
     @pytest.mark.parametrize("expected, branch, ideal", GOLDEN_CASES,
                              ids=[case[0] for case in GOLDEN_CASES])
@@ -295,6 +296,71 @@ class TestAnalyzeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["ideal"]["vmin"] == 0
         assert report["ideal"]["h"] == 1
+        assert report["ideal"]["realizes_itself"] is None
+
+    def test_ideal_room_moves_the_ring(self, tmp_path, capsys):
+        # t^200 needs a ring truncation above 204; the ring is moved there for
+        # the ideal alone, so the reported truncation is the one without it
+        branch = write(tmp_path, "c.branch", "t^2\nt^3\n")
+        assert main(["analyze", branch, "--json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        ideal = write(tmp_path, "far.ideal", "t^200\n")
+        assert main(["analyze", branch, "--json", "--ideal", ideal]) == 0
+        report = json.loads(capsys.readouterr().out)
+        sec = report.pop("ideal")
+        assert report == plain
+        assert (sec["vmin"], sec["h"], sec["v_inverse"]) == (200, 0, -200)
+        assert (sec["trace_vmin"], sec["trace_gaps"]) == (0, [1])
+        assert sec["realizes_itself"] is False
+
+    def test_shifted_copies_share_h_and_trace(self, tmp_path, capsys):
+        branch = write(tmp_path, "c.branch", "t^2\nt^3\n")
+        secs = []
+        for name, text in (("m", "t^2\nt^3\n"), ("far", "t^202\nt^203\n"),
+                           ("neg", "shift: 300\nt^2\nt^3\n")):
+            assert main(["analyze", branch, "--json",
+                         "--ideal", write(tmp_path, f"{name}.ideal", text)]) == 0
+            secs.append(json.loads(capsys.readouterr().out)["ideal"])
+        assert [sec["vmin"] for sec in secs] == [2, 202, -298]
+        for sec in secs:
+            assert sec["h"] == 1
+            assert (sec["trace_vmin"], sec["trace_gaps"]) == (secs[0]["trace_vmin"],
+                                                            secs[0]["trace_gaps"])
+
+    def test_ideal_room_covers_the_trace(self, tmp_path):
+        # <t^3, t^7> (c = 12) analyzed at 25 has room for k[[t]] itself, but
+        # not for its trace, the conductor, whose closure needs 2c + e + 1 = 28
+        spec = branchinv.branch.BranchSpec.from_strings(["t^3", "t^7"])
+        ring = branchinv.branch.analyze(spec, initial_truncation=25, verify_stability=False)
+        assert ring.truncation == 25
+        ideal = write(tmp_path, "rbar.ideal", "".join(f"t^{j}\n" for j in range(12)))
+        sec = branchinv.cli._ideal_section(ring, ideal, 4096)
+        assert (sec["vmin"], sec["v_inverse"], sec["trace_vmin"], sec["trace_gaps"]) == (0, 12, 12, [])
+
+    def test_far_negative_vmin_lists_no_tail(self, tmp_path, capsys):
+        # vmin = -999998 puts a million valuations in the ideal's implicit
+        # tail; listing them took 38 MB and 1 s, and a shift of 10^9 ran out
+        # of memory
+        branch = write(tmp_path, "c.branch", "t^2\nt^3\n")
+        ideal = write(tmp_path, "neg.ideal", "shift: 1000000\nt^2\nt^3\n")
+        tracemalloc.start()
+        try:
+            assert main(["analyze", branch, "--json", "--ideal", ideal]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sec = json.loads(capsys.readouterr().out)["ideal"]
+        assert (sec["vmin"], sec["h"], sec["v_inverse"]) == (-999998, 1, 1000000)
+        assert peak < 4 * 2**20
+
+    def test_ideal_room_above_the_cap(self, tmp_path, capsys):
+        branch = write(tmp_path, "c.branch", "t^2\nt^3\n")
+        ideal = write(tmp_path, "cap.ideal", "shift: -5000\nt^2\n")
+        assert main(["analyze", branch, "--json", "--ideal", ideal]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ideal with vmin 5002 needs truncation 5007, above the cap 4096\n")
 
 
 class TestSemigroupCommand:

@@ -14,7 +14,7 @@ class TestDerivativeModule:
     def test_plane_branch(self, plane49):
         D = derivative_module(plane49)
         assert D.vmin == 3
-        assert D.value_set.gaps_below(D.membership_bound) == (0, 1, 2, 4, 5, 6, 9, 10, 14)
+        assert D.basis.gaps_below(D.membership_bound) == (0, 1, 2, 4, 5, 6, 9, 10, 14)
 
     def test_regular_branch_gives_full_ring(self, line):
         D = derivative_module(line)
@@ -99,7 +99,7 @@ class TestInvariants:
     def test_trace_of_realized_copy_matches_trace_of_module(self, corpus):
         for d in corpus[:8]:
             tr_J = trace(realized_copy(d))
-            assert tr_J.value_set.achieved == trace(d.D).value_set.achieved
+            assert tr_J.basis.pivot_valuations == trace(d.D).basis.pivot_valuations
 
     def test_h_invariant_route_agrees(self, corpus):
         for d in corpus[:10]:

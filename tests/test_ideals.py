@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from branchinv.branch import m_power_basis
+from branchinv.cli import _ideal_section, read_ideal_file
 from branchinv.echelon import close_under, quotient_dim
 from branchinv.errors import (
     NotAnIntegralIdeal,
@@ -35,7 +36,7 @@ class TestFromGenerators:
     def test_derivative_module_value_set(self, plane49):
         D = from_generators(plane49, derivative_gens(plane49))
         assert D.vmin == 3
-        assert D.value_set.gaps_below(D.membership_bound) == (0, 1, 2, 4, 5, 6, 9, 10, 14)
+        assert D.basis.gaps_below(D.membership_bound) == (0, 1, 2, 4, 5, 6, 9, 10, 14)
 
     def test_unit_generator_recovers_ring(self, plane49):
         I = from_generators(plane49, (TruncatedSeries.one(),))
@@ -44,7 +45,7 @@ class TestFromGenerators:
     def test_maximal_ideal_of_cusp(self, cusp):
         m = from_generators(cusp, (parse_series("t^2"), parse_series("t^3")))
         assert m.vmin == 2
-        assert m.value_set.achieved[:5] == (2, 3, 4, 5, 6)
+        assert m.basis.pivot_valuations[:5] == (2, 3, 4, 5, 6)
 
     def test_zero_generator_rejected(self, cusp):
         with pytest.raises(ValueError):
@@ -209,7 +210,7 @@ class TestModuleInvariants:
     def test_product_with_inverse_valuation(self, corpus):
         for diff in corpus[:15]:
             inv = inverse(diff.D)
-            tr = product(diff.D, inv.inverse_ideal)
+            tr = product(diff.D, from_generators(diff.ring, inv.generators))
             assert tr.vmin == diff.D.vmin + inv.v_inverse
 
     def test_trace_lower_bound_chain(self, corpus):
@@ -220,6 +221,67 @@ class TestModuleInvariants:
             lam_tr = quotient_dim(ring.ring_basis, tr.basis)
             assert diff.h_omega >= lam_tr
             assert lam_tr >= h_invariant(tr)
+
+
+def reference_h(I):
+    """h by the deleted route: close the normalized copy t^(-vmin) I and invert it."""
+    ring = I.ring
+    J = from_generators(ring, tuple(g.shift(-I.vmin) for g in I.generators))
+    return colength_in_normalization(J) - ring.delta + inverse(J).v_inverse
+
+
+def reference_trace(I):
+    """tr(I) by the deleted route: close R :_K I, then its product with I."""
+    return product(I, from_generators(I.ring, inverse(I).generators))
+
+
+class TestDeletedRoutes:
+    """h and the trace against the closures they no longer run."""
+
+    @staticmethod
+    def assert_routes_agree(I):
+        assert h_invariant(I) == reference_h(I)
+        tr, ref = trace(I), reference_trace(I)
+        assert tr.vmin == ref.vmin and tr.basis == ref.basis
+
+    def test_derivative_modules_and_scaled_copies(self, corpus):
+        rng = random.Random(8)
+        for diff in corpus:
+            D = diff.D
+            self.assert_routes_agree(D)
+            alpha = parse_series(f"{rng.randint(1, 4)}+{rng.randint(1, 5)}*t^2").shift(
+                rng.randint(-4, 4))
+            self.assert_routes_agree(
+                from_generators(diff.ring, tuple(alpha * g for g in D.generators)))
+
+    def test_random_ideal_files(self, corpus, tmp_path):
+        # each file goes through the CLI's ideal section; the references run
+        # on the ring moved to the room of every closure they make
+        rng = random.Random(80)
+        negative = moved = 0
+        for k in range(60):
+            ring = corpus[k % 20].ring
+            lines = []
+            for _ in range(rng.randint(1, 3)):
+                exps = sorted(rng.sample(range(13), rng.randint(1, 3)))
+                lines.append("+".join(f"{rng.randint(1, 3)}*t^{x}" for x in exps)
+                             + (f"-t^{rng.randint(0, 15)}" if rng.random() < 0.3 else ""))
+            shift = rng.choice((-100, -20, -3, 0, 2, 5, 9))
+            path = tmp_path / f"r{k}.ideal"
+            path.write_text(f"shift: {shift}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+            sec = _ideal_section(ring, str(path), 4096)
+            gens = tuple(e.shift(-shift) for e in read_ideal_file(str(path))[1])
+            vmin = min(int(g.valuation()) for g in gens)
+            c, e = ring.conductor_c, ring.multiplicity
+            I = from_generators(ring.moved(max(ring.truncation, 2 * c + abs(vmin) + e + 1)), gens)
+            ref = reference_trace(I)
+            assert sec["vmin"] == vmin
+            assert sec["h"] == reference_h(I)
+            assert sec["trace_vmin"] == ref.vmin
+            assert sec["trace_gaps"] == list(ref.basis.gaps_below(ref.membership_bound, ref.vmin))
+            negative += vmin < 0
+            moved += c + max(vmin, c) + e + 1 > ring.truncation  # as the CLI does
+        assert negative >= 10 and moved >= 5
 
 
 def _random_series(rng, lo, hi):
@@ -257,7 +319,7 @@ class TestTailOracle:
             D = diff.D
             ideals = {
                 "D": D,
-                "D^-1": inverse(D).inverse_ideal,
+                "D^-1": from_generators(ring, inverse(D).generators),
                 "t^c D": from_generators(ring, tuple(g.shift(c) for g in D.generators)),
                 "m D": from_generators(ring, tuple(x * g for x in gens for g in D.generators)),
             }
