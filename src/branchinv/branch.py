@@ -12,9 +12,10 @@ stops at the first d with C(n+d-1, d) > e, because H(d) = dim m^d/m^(d+1) is
 at most e in a one-dimensional Cohen-Macaulay ring.
 
 Each m^d is closed with its a-priori tail c + d*e, from where it holds every
-valuation, so its closure runs only to c + (d+1)*e.  The ring closure itself
-runs to the full N, since its tail c is what the analysis certifies; the
-certified basis then keeps only its rows below c, as m keeps those of R.
+valuation, so its closure runs only to c + (d+1)*e and needs no truncation
+from the ring.  The ring closure is the one closure that reads a truncation
+N, since its tail c is what the analysis certifies; the certified basis then
+keeps only its rows below c, as m keeps those of R.
 
 None of those stored rows depends on N.  So truncations double from the
 first (the last try is the largest worth one) only until the conductor
@@ -22,16 +23,15 @@ certifies; n and s are then found once, and the rest of the doubling
 sequence is arithmetic.  N has room when c + (s+2)*e < N (c + 2*e < N for
 n = 1), the room of every m^d closure of the full ladder, so the truncation
 reported does not depend on which route found s; a try without room names
-m^d for the least d >= 2 with c + d*e >= N.  `RingData.moved` then takes the
-ring to the first N with room, or to the room its caller names, by re-cutting
-its rows with no closure: what a fresh analysis there would store.  The
-doubling check re-analyzes at 2N and demands the same invariants; `analyze`
-runs it on request, once, on the ring it returns.
+m^d for the least d >= 2 with c + d*e >= N.  The ring is reported at the
+first N with room, or at the room its caller names, with the same rows.
+The doubling check closes the ring again at 2N and demands the same rows and
+tail, on which every invariant depends; `analyze` runs it on request, once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Callable, Sequence
 
@@ -87,16 +87,6 @@ class RingData:
     def name(self) -> str | None:
         return self.spec.name
 
-    def moved(self, truncation: int) -> "RingData":
-        """This ring at a truncation above every stored tail, with no closure:
-        no stored row of the ring basis or of a cached m^d depends on N."""
-
-        def move(basis: EchelonBasis) -> EchelonBasis:
-            return EchelonBasis(truncation, basis._rows, basis.tail_from)
-
-        return replace(self, truncation=truncation, ring_basis=move(self.ring_basis),
-                       _mpow={d: move(b) for d, b in self._mpow.items()})
-
     def is_regular(self) -> bool:
         return self.embdim_n == 1
 
@@ -148,21 +138,19 @@ def _certify_conductor(achieved: set[int], limit: int, e: int) -> int | None:
 
 
 def m_power_basis(ring: RingData, d: int) -> EchelonBasis:
-    """Echelon basis of m^d mod t^N (d=0 gives the ring itself), tail certified;
-    for d >= 2 its tail c + d*e must lie below N."""
-    if d in ring._mpow:
-        return ring._mpow[d]
-    N = ring.truncation
+    """Echelon basis of m^d (d=0 gives the ring itself), tail certified, at
+    its tail plus e: c + d*e for d >= 2, where its closure stops."""
     if d == 0:
-        basis = ring.ring_basis
-    elif d == 1:
-        rows = {v: r for v, r in ring.ring_basis._rows.items() if v != 0}
-        basis = EchelonBasis(N, rows, max(ring.conductor_c, 1))
-    else:
-        basis = close_under(monomials(ring.generators, d), ring.generators, N,
-                            tail_from=ring.conductor_c + d * ring.multiplicity)
-    ring._mpow[d] = basis
-    return basis
+        return ring.ring_basis
+    if d not in ring._mpow:
+        c, e = ring.conductor_c, ring.multiplicity
+        if d == 1:
+            rows = {v: r for v, r in ring.ring_basis._rows.items() if v != 0}
+            ring._mpow[1] = EchelonBasis(max(c, 1) + e, rows, max(c, 1))
+        else:
+            ring._mpow[d] = close_under(monomials(ring.generators, d), ring.generators,
+                                        tail_from=c + d * e)
+    return ring._mpow[d]
 
 
 def embedding_dimension(ring: RingData) -> int:
@@ -206,12 +194,10 @@ def _symmetric(gapset: set[int], c: int) -> bool:
     return all((z in gapset) != ((c - 1 - z) in gapset) for z in range(c))
 
 
-def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int) -> RingData:
-    """The ring closed at N with its conductor certified, then n and s.
+def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int) -> EchelonBasis:
+    """The ring closed at N, cut below its certified conductor c.
 
-    Raises _NeedsTruncation only when no certified conductor run exists.  n
-    and s are found, and the ring returned, at max(N, c + (e+1)*e + 1), where
-    every m^d closure of the full ladder fits (s <= e - 1, as H(d) <= e).
+    Raises _NeedsTruncation only when no certified conductor run exists.
     """
     e = min(int(g.valuation()) for g in gens)
     basis = close_under([TruncatedSeries.one()], gens, N)
@@ -231,35 +217,7 @@ def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int) -> 
             if sc is not None:
                 raise _NeedsTruncation(f"achieved valuations share gcd {g}", gcd_evidence=g)
         raise _NeedsTruncation("no certified conductor run")
-
-    gaps = tuple(v for v in range(c) if v not in achieved)
-    delta = len(gaps)
-
-    ring = RingData(
-        spec=spec,
-        truncation=N,
-        ring_basis=basis.with_tail(c),
-        generators=gens,
-        conductor_c=c,
-        delta=delta,
-        gaps=gaps,
-        embdim_n=0,  # filled below
-        order_s=None,
-        gorenstein=_symmetric(set(gaps), c),
-        multiplicity=e,
-        stable=False,
-    ).moved(max(N, c + (e + 1) * e + 1))
-    ring.embdim_n = embedding_dimension(ring)
-    if (ring.embdim_n == 1) != (delta == 0):
-        raise InternalInconsistency(
-            f"embedding dimension {ring.embdim_n} inconsistent with delta {delta}"
-        )
-    if ring.embdim_n == 2 and not ring.gorenstein:
-        raise InternalInconsistency("a plane branch must be Gorenstein, but its semigroup "
-                                    "is not symmetric")
-    if ring.embdim_n >= 2:
-        ring.order_s = order_s(ring)
-    return ring
+    return basis.with_tail(c)
 
 
 def _next_try(N: int, limit: int, max_truncation: int, err: type, reason: str) -> int:
@@ -276,8 +234,8 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
     """Full branch analysis with certified conductor and optional 2N verification.
 
     `room` maps a certified ring to the truncation that later work on it
-    needs (the CLI passes `differentials.required_truncation`).  A ring short
-    of it is moved there before the one verification.
+    needs (the CLI passes `cli.required_truncation`).  A ring short of it is
+    reported there, with the same rows, and verified there.
     """
     if initial_truncation is not None and initial_truncation < 1:
         raise BranchInvError(f"initial truncation {initial_truncation} is below 1")
@@ -296,7 +254,7 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
         # below e + maxdeg + 1 no run of e certified values fits: skip the closure
         if N - maxdeg - 1 >= e:
             try:
-                ring = _analyze_at(spec, gens, N)
+                basis = _analyze_at(spec, gens, N)
                 break
             except _NeedsTruncation as exc:
                 if exc.gcd_evidence:
@@ -310,8 +268,34 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
                 reason = str(exc)
         N = _next_try(N, limit, max_truncation, TruncationExhausted, reason)
 
+    c = basis.tail_from
+    gaps = basis.gaps_below(c)
+    ring = RingData(
+        spec=spec,
+        truncation=N,
+        ring_basis=basis,
+        generators=gens,
+        conductor_c=c,
+        delta=len(gaps),
+        gaps=gaps,
+        embdim_n=0,  # filled below
+        order_s=None,
+        gorenstein=_symmetric(set(gaps), c),
+        multiplicity=e,
+        stable=False,
+    )
+    ring.embdim_n = embedding_dimension(ring)
+    if (ring.embdim_n == 1) != (ring.delta == 0):
+        raise InternalInconsistency(
+            f"embedding dimension {ring.embdim_n} inconsistent with delta {ring.delta}"
+        )
+    if ring.embdim_n == 2 and not ring.gorenstein:
+        raise InternalInconsistency("a plane branch must be Gorenstein, but its semigroup "
+                                    "is not symmetric")
+    if ring.embdim_n >= 2:
+        ring.order_s = order_s(ring)
+
     # every later try certifies the same ring, so only its room is in question
-    c = ring.conductor_c
     top = 2 if ring.order_s is None else ring.order_s + 2
     while c + top * e >= N:
         d = max(2, -(-(N - c) // e))  # the least d >= 2 with c + d*e >= N
@@ -323,15 +307,15 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
         _doubled_truncation(N, max_truncation)  # this ring's 2N is checked first
     if needed > max_truncation:
         raise TruncationExhausted(f"truncation {needed} is above the cap {max_truncation}")
-    ring = ring.moved(needed)
+    ring.truncation = needed
+    ring.ring_basis = EchelonBasis(needed, basis._rows, c)
     if verify_stability:
-        # the doubling check: re-analyze at 2N and demand the same invariants
+        # the doubling check: close the ring at 2N and demand the same basis
         double = _analyze_at(spec, gens, _doubled_truncation(needed, max_truncation))
-        if ((double.gaps, double.embdim_n, double.order_s, double.gorenstein)
-                != (ring.gaps, ring.embdim_n, ring.order_s, ring.gorenstein)):
+        if (double._rows, double.tail_from) != (basis._rows, c):
             raise InternalInconsistency(
                 "doubling verification changed the invariants; "
-                f"N={needed}: gaps={ring.gaps}, 2N: gaps={double.gaps}"
+                f"N={needed}: gaps={ring.gaps}, 2N: gaps={double.gaps_below(double.tail_from)}"
             )
         ring.stable = True
     return ring

@@ -21,12 +21,13 @@ Exit codes:
     3   no certified analysis fits under ``--max-truncation`` (default 4096);
         the cap holds for the first truncation, every retry (the last try is
         the cap, or half of it when the doubling verification follows), the
-        truncation the derivative module needs (the certified ring is moved
-        there, then verified), the doubling verification and the room an
-        ``--ideal`` needs, c + max(vmin, c) + e + 1 (the ring is moved there
-        for the ideal alone; the reported truncation stays); a generator
-        whose degree alone would put the first truncation past the cap (past
-        (M - 16)/4, or M - 1 with ``--truncation``) is refused unexpanded
+        truncation reported (the one the derivative module's report asks
+        for, where the ring is verified), the doubling verification and the
+        extent of an ``--ideal``'s closures, c + max(vmin, c) + e + 1.  A
+        generator whose degree alone rules out every try is refused
+        unexpanded: past (M - 16)/4 (the first truncation is 4*degree + 16),
+        or, with ``--truncation T``, past the largest truncation tried less 2
+        (the larger of T and the last retry, at most M)
     4   two independent routes to the same quantity disagreed
         (``InternalInconsistency``); no results are reported
 """
@@ -41,7 +42,7 @@ from fractions import Fraction
 from . import __version__
 from .berger import RULES, Verdict, verdict
 from .branch import BranchSpec, RingData, analyze
-from .differentials import DifferentialData, compute, required_truncation
+from .differentials import DifferentialData, compute
 from .errors import (
     BranchInvError,
     DegreeLimitExceeded,
@@ -70,13 +71,15 @@ def read_branch_file(path: str, max_truncation: int | None = None,
                      truncation: int | None = None) -> BranchSpec:
     """The branch in a file.
 
-    Under a truncation cap, a generator whose degree alone needs a first
-    truncation past the cap is refused before it is expanded: that truncation
-    is 4*degree + 16, or above the degree when `truncation` is given.
+    Under a truncation cap, a generator whose degree alone rules out every
+    truncation a run may try is refused before it is expanded.  Without
+    `truncation` the first try is 4*degree + 16.  Given, `truncation` is the
+    largest truncation the run tries, and a try needs degree + 2 at least.
     """
     max_degree = None
     if max_truncation is not None:
-        max_degree = max_truncation - 1 if truncation is not None else (max_truncation - 16) // 4
+        top = max_truncation if truncation is None else min(truncation, max_truncation)
+        max_degree = (top - 16) // 4 if truncation is None else top - 2
     name = None
     exprs = []
     for lineno, raw in enumerate(_read_lines(path), start=1):
@@ -92,10 +95,12 @@ def read_branch_file(path: str, max_truncation: int | None = None,
             exc.args = (f"{path}:{lineno}: {exc}",)  # its text ends in the position
             raise
         except DegreeLimitExceeded as exc:
-            need = exc.degree + 1 if truncation is not None else 4 * exc.degree + 16
+            need = exc.degree + 2 if truncation is not None else 4 * exc.degree + 16
+            bound = (f"the cap {max_truncation}" if need > max_truncation
+                     else f"the largest truncation tried, {top}")
             raise TruncationExhausted(
                 f"{path}:{lineno}: generator degree {exc.degree} needs truncation at least "
-                f"{need}, above the cap {max_truncation} (at position {exc.position})"
+                f"{need}, above {bound} (at position {exc.position})"
             ) from None
     if not exprs:
         raise BranchInvError(f"{path}: no generator lines found")
@@ -266,18 +271,28 @@ def render_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+# The truncation the CLI reports and verifies at, which tests/golden/ pins:
+# keep it as is.  No computation reads it.
+def required_truncation(ring: RingData) -> int:
+    c = ring.conductor_c
+    maxdeg = ring.spec.max_degree()
+    need = 2 * c + maxdeg + 32
+    if ring.order_s is not None:
+        need = max(need, c + (ring.order_s + 2) * ring.multiplicity + maxdeg + 2)
+    return need
+
+
 def _ideal_section(ring: RingData, path: str, max_truncation: int) -> dict:
     shift, exprs, _name = read_ideal_file(path)
     gens = tuple(e.shift(-shift) for e in exprs)
-    # I's closure needs c + vmin + e below the truncation, and the trace's
-    # c + vmin + v(I^-1) + e, where v(I^-1) <= c - vmin; the ring is moved
-    # there with no closure, and the report keeps the ring's own truncation
+    # I's closure runs to c + vmin + e, and the trace's to c + vmin + v(I^-1)
+    # + e, where v(I^-1) <= c - vmin: the cap bounds both
     vmin = min(int(g.valuation()) for g in gens)
     needed = ring.conductor_c + max(vmin, ring.conductor_c) + ring.multiplicity + 1
     if needed > max_truncation:
         raise TruncationExhausted(
             f"ideal with vmin {vmin} needs truncation {needed}, above the cap {max_truncation}")
-    ideal = from_generators(ring.moved(max(ring.truncation, needed)), gens)
+    ideal = from_generators(ring, gens)
     inv = inverse(ideal)
     tr = trace(ideal)
     try:
@@ -298,7 +313,11 @@ def _ideal_section(ring: RingData, path: str, max_truncation: int) -> dict:
 
 def cmd_analyze(args) -> int:
     try:
-        spec = read_branch_file(args.path, args.max_truncation, args.truncation)
+        # no try runs above the first truncation or the last retry, which
+        # leaves room for the doubling verification unless it is skipped
+        last = args.max_truncation if args.no_verify else args.max_truncation // 2
+        spec = read_branch_file(args.path, args.max_truncation,
+                                None if args.truncation is None else max(args.truncation, last))
         ring = analyze(
             spec,
             initial_truncation=args.truncation,

@@ -11,9 +11,8 @@ coefficients and is never closed.  J is isomorphic to D, so mu(J) = mu(D).
 Once J lies in m^s, m J lies in m^(s+1), so J + m^(s+1) is the k-span of the n
 products alpha x_i' added to the m^(s+1) basis.
 
-This work needs the ring at `required_truncation`: a ring short of it is moved
-there with no closure (`RingData.moved`), and the CLI asks `analyze` for that
-room, so the ring it verifies is the one used here.
+Every closure here starts from its a-priori tail and sizes itself, so this
+works on the ring at whatever truncation `analyze` reports.
 """
 
 from __future__ import annotations
@@ -55,20 +54,8 @@ def derivative_module(ring: RingData) -> FractionalIdeal:
     return from_generators(ring, gens)
 
 
-# This sets the reported truncation, which tests/golden/ pins: keep it as is.
-def required_truncation(ring: RingData) -> int:
-    c = ring.conductor_c
-    maxdeg = ring.spec.max_degree()
-    need = 2 * c + maxdeg + 32
-    if ring.order_s is not None:
-        need = max(need, c + (ring.order_s + 2) * ring.multiplicity + maxdeg + 2)
-    return need
-
-
 def compute(ring: RingData) -> DifferentialData:
-    """All derivative-module invariants, cross-checked.  A ring short of
-    `required_truncation` is moved there first, with no closure."""
-    ring = ring.moved(max(ring.truncation, required_truncation(ring)))
+    """All derivative-module invariants, cross-checked."""
     c = ring.conductor_c
     delta = ring.delta
 

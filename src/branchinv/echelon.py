@@ -19,11 +19,12 @@ full basis cut below the tail.  The tail is kept canonical, the least T with
 [T, N) all pivots, so equal spans still give equal bases.  Operations drop
 keys at or above the tail first, since those lie in the span.
 
-A closure told its tail T in advance runs only to truncation T + e, e the
-least multiplier valuation, and must find every valuation of [T, T + e) as a
-pivot: that run, closed under +e, puts every valuation >= T in the value set,
-so t^T k[[t]] lies in the module and the rows below T are exact mod t^N.
-Without the run the claimed tail is refused.
+A closure told its tail T in advance needs no truncation from its caller:
+it runs to T + e, e the least multiplier valuation, and returns its basis at
+that truncation.  It must find every valuation of [T, T + e) as a pivot:
+that run, closed under +e, puts every valuation >= T in the value set, so
+t^T k[[t]] lies in the module and the rows below T are exact at every
+truncation.  Without the run the claimed tail is refused.
 
 Rows are stored internally as primitive integer vectors (sparse dicts) and
 exposed as monic rational series; exact Fraction arithmetic per element is an
@@ -277,24 +278,22 @@ class EchelonBasis:
 
 
 def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[TruncatedSeries],
-                truncation: int, tail_from: int | None = None) -> EchelonBasis:
+                truncation: int | None = None, tail_from: int | None = None) -> EchelonBasis:
     """Smallest echelon span containing the seed and closed under the multipliers.
 
     Multipliers must have valuation >= 1 so that the fixpoint terminates.  With
     seed {1} and the ring generators as multipliers this is the ring mod t^N;
     with a module's generators as seed it is the module's R-span mod t^N.
 
-    `tail_from` is a tail T the caller knows in advance.  The closure then
-    runs to min(N, T + e) only, e the least multiplier valuation, and raises
-    :class:`UncertifiedTail` unless every valuation of that run from T is a
-    pivot.  The basis returned is at truncation N either way.
+    Give either the truncation N or a tail T the caller knows in advance.  A
+    closure with a tail runs to N = T + e, e the least multiplier valuation,
+    and raises :class:`UncertifiedTail` unless every valuation of [T, N) is a
+    pivot.
     """
-    N = int(truncation)
-    cut = N
-    if tail_from is not None:
-        if tail_from >= N:
-            raise UncertifiedTail(f"tail start {tail_from} is not below truncation {N}")
-        cut = min(N, tail_from + min((m.valuation() for m in multipliers), default=N))
+    if (truncation is None) == (tail_from is None):
+        raise ValueError("close_under takes a truncation or a tail, not both")
+    N = int(truncation if tail_from is None
+            else tail_from + min(m.valuation() for m in multipliers))
     seeds = [s for s in seed if not s.is_zero()]
     floor = min((int(s.valuation()) for s in seeds), default=0)
 
@@ -310,7 +309,7 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
                 f"multiplier known to t^{m.truncation} but closure at t^{N} "
                 f"with window floor {floor} needs t^{needed}"
             )
-        mults.append(_vec_from_series(m, cut - min(0, floor)))
+        mults.append(_vec_from_series(m, needed))
 
     for s in seeds:
         if s.truncation < N:
@@ -319,7 +318,7 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
             )
 
     b = _Builder()
-    queue = [_vec_from_series(s, cut) for s in seeds]
+    queue = [_vec_from_series(s, N) for s in seeds]
     while queue:
         num, den = queue.pop()
         v = b.insert(num, den)
@@ -331,16 +330,16 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
             for e1, a in row.items():
                 for e2, c in mnum.items():
                     e = e1 + e2
-                    if e < cut:
+                    if e < N:
                         prod[e] = prod.get(e, 0) + a * c
             if prod:
                 queue.append((prod, mden))
     if tail_from is None:
         return EchelonBasis(N, b.rows)
-    for v in range(tail_from, cut):
+    for v in range(tail_from, N):
         if v not in b.rows:
             raise UncertifiedTail(
-                f"valuation {v} missing from the claimed tail run [{tail_from}, {cut})"
+                f"valuation {v} missing from the claimed tail run [{tail_from}, {N})"
             )
     return EchelonBasis(N, b.rows, tail_from)
 
@@ -348,12 +347,10 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
 def quotient_dim(big: EchelonBasis, small: EchelonBasis) -> int:
     """Dimension of span(big)/span(small) for nested spans with certified tails.
 
-    Both spans contain everything above their tails, so the pivot-count
-    difference is independent of the (shared) truncation.  Canonical tails
-    of nested spans satisfy big.tail_from <= small.tail_from.
+    Both spans contain everything above their tails, so the dimension is
+    counted below them, whatever the truncation of each: canonical tails of
+    nested spans satisfy big.tail_from <= small.tail_from.
     """
-    if big.truncation != small.truncation:
-        raise ValueError("quotient_dim needs both bases at the same truncation")
     if big.tail_from is None or small.tail_from is None:
         raise UncertifiedTail("quotient_dim needs certified tails on both bases")
     if small.tail_from < big.tail_from:
@@ -368,4 +365,4 @@ def quotient_dim(big: EchelonBasis, small: EchelonBasis) -> int:
         num, den = _reduce_vec(num, 1, big_rows)
         if any(num.values()):
             raise NotNested(f"pivot at valuation {v} is not in the big span")
-    return len(big) - len(small)
+    return len(big_rows) - len(small._rows) + small.tail_from - big.tail_from

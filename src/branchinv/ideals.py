@@ -8,7 +8,8 @@ exact answers everywhere below.
 
 The second threshold is also each ideal's tail, known before its closure
 runs: `from_generators` closes M with the a-priori tail c + vmin, so the
-closure runs only to c + vmin + e and stores rows only below its tail.
+closure runs only to c + vmin + e, whatever the ring's truncation, and
+stores rows only below its tail.
 
 Closures run only where an answer needs a span.  The inverse scan yields
 generators of R :_K I, which only the trace reads, and the trace closes
@@ -64,21 +65,10 @@ def from_generators(ring: RingData, gens) -> FractionalIdeal:
     gens = tuple(gens)
     if not gens or any(g.is_zero() for g in gens):
         raise ValueError("a fractional ideal needs nonzero generators")
-    N = ring.truncation
     vmin = min(int(g.valuation()) for g in gens)
     bound = ring.conductor_c + vmin
-    if bound + ring.multiplicity >= N:
-        raise InsufficientTruncation(
-            f"ideal with vmin {vmin} needs ring truncation above "
-            f"{bound + ring.multiplicity}, have {N}"
-        )
-    for g in gens:
-        if g.truncation < N:
-            raise InsufficientTruncation(
-                f"generator known to t^{g.truncation} but the ring works at t^{N}"
-            )
     try:
-        basis = close_under(gens, ring.generators, N, tail_from=bound)
+        basis = close_under(gens, ring.generators, tail_from=bound)
     except UncertifiedTail as exc:
         raise InternalInconsistency(f"membership-bound tail missing from ideal closure: {exc}") from None
     # the least pivot, read without listing the tail [c + vmin, N): a far

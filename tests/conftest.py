@@ -5,7 +5,37 @@ import random
 import pytest
 
 from branchinv.branch import BranchSpec, analyze
+from branchinv.cli import required_truncation
 from branchinv.differentials import compute
+from branchinv.echelon import EchelonBasis
+
+
+def perturb_verification(monkeypatch):
+    """Make the second `_analyze_at` of a run, the doubling check's, return
+    its basis with one coefficient of one row changed."""
+    import branchinv.branch
+
+    analyze_at = branchinv.branch._analyze_at
+    calls = []
+
+    def perturbed(spec, gens, N):
+        basis = analyze_at(spec, gens, N)
+        calls.append(N)
+        if len(calls) == 1:
+            return basis
+        rows = dict(basis._rows)
+        v = min(v for v, row in rows.items() if len(row) > 1)
+        k = max(rows[v])
+        rows[v] = {**rows[v], k: rows[v][k] + 1}
+        return EchelonBasis(basis.truncation, rows, basis.tail_from)
+
+    monkeypatch.setattr(branchinv.branch, "_analyze_at", perturbed)
+
+
+def at(basis, truncation):
+    """A tailed basis relabeled at another truncation above its tail: its
+    stored rows lie below the tail, so they are the same at every such N."""
+    return EchelonBasis(truncation, basis._rows, basis.tail_from)
 
 
 @pytest.fixture(scope="session")
@@ -104,9 +134,11 @@ def corpus_specs():
 
 @pytest.fixture(scope="session")
 def corpus():
-    """Analyzed corpus of >= 50 branches with differential data."""
+    """Analyzed corpus of >= 50 branches with differential data, each at the
+    truncation the CLI reports."""
     out = []
     for texts in corpus_specs():
-        ring = analyze(BranchSpec.from_strings(texts, name="+".join(texts)))
+        ring = analyze(BranchSpec.from_strings(texts, name="+".join(texts)),
+                       room=required_truncation)
         out.append(compute(ring))
     return out

@@ -17,12 +17,14 @@ from branchinv.branch import (
 from branchinv.echelon import close_under, quotient_dim
 from branchinv.errors import (
     ImprimitiveParametrization,
+    InternalInconsistency,
     NonPositiveValuationGenerator,
     TruncationExhausted,
-    UncertifiedTail,
 )
+from branchinv.ideals import from_generators
 from branchinv.semigroup import sieve
 from branchinv.series import TruncatedSeries, monomials
+from conftest import perturb_verification
 
 
 def full_ladder_order(ring):
@@ -38,7 +40,7 @@ def full_ladder_order(ring):
 def _closed_at(exps, N):
     """(c, gaps, n, s) of the monomial branch <exps> at truncation N, or the
     text naming what N lacks: the first m^d of the full ladder whose tail
-    close_under refuses at N.
+    is not below N.
 
     The ring is closed at N.  m^d mod t^N is spanned by the monomials whose
     exponents are sums of at least d generators, so its valuations are
@@ -60,8 +62,6 @@ def _closed_at(exps, N):
     while True:
         tail = c + (d + 1) * e
         if tail >= N:
-            with pytest.raises(UncertifiedTail):
-                close_under(gens, gens, N, tail_from=tail)
             return f"m^{d + 1} needs truncation above {tail}"
         higher = {v + a for v in power for a in exps if v + a < N}
         h = len(power) - len(higher)
@@ -282,8 +282,8 @@ class TestStability:
         assert ring.gaps == (1,)
 
     def test_room_moves_before_verifying(self, monkeypatch):
-        # 64 certifies the ring; room asks for 89, so the ring is moved there
-        # with no closure, and only that ring is verified, at 178
+        # 64 certifies the ring; room asks for 89, so the ring is reported
+        # there with the same rows, and only that ring is verified, at 178
         tried = []
         analyze_at = branch_module._analyze_at
 
@@ -329,22 +329,69 @@ class TestStability:
         for pair in _primitive_pairs(20):
             assert _analyzed(pair, verify, cap) == reference_truncation(pair, verify, cap), pair
 
-    def test_moved_ring_equals_fresh_closures(self, corpus):
-        # compute moved each ring to required_truncation with no closure; a
-        # fresh closure there of the ring and of every cached m^d agrees
-        moved = 0
+    def test_self_sized_closures_equal_uncut_closures(self, corpus):
+        # every closure but the ring's stops at its a-priori tail plus e,
+        # whatever the ring's truncation N; the uncut closure at N, cut below
+        # the tail, has the same rows and tail, and quotient_dim counts what
+        # the uncut closures' pivots count at N
+        def assert_same(tailed, full, name):
+            cut = full.with_tail(tailed.tail_from)
+            assert (tailed._rows, tailed.tail_from) == (cut._rows, cut.tail_from), name
+
         for d in corpus:
             ring = d.ring
             N, c, e, gens = ring.truncation, ring.conductor_c, ring.multiplicity, ring.generators
-            assert ring.ring_basis == close_under([TruncatedSeries.one()], gens, N).with_tail(c)
+            full = {0: close_under([TruncatedSeries.one()], gens, N)}
+            assert_same(ring.ring_basis, full[0], (ring.name, 0))
             for k, basis in ring._mpow.items():
-                if k == 1:
-                    fresh = close_under(gens, gens, N, tail_from=max(c, 1))
-                else:
-                    fresh = close_under(monomials(gens, k), gens, N, tail_from=c + k * e)
-                assert basis == fresh, (ring.name, k)
-            moved += N > analyze(ring.spec).truncation
-        assert moved >= 10
+                assert basis.truncation == (max(c, 1) if k == 1 else c + k * e) + e
+                full[k] = close_under(monomials(gens, k), gens, N)
+                assert_same(basis, full[k], (ring.name, k))
+            for k in ring._mpow:
+                if k + 1 in ring._mpow:
+                    assert quotient_dim(ring._mpow[k], ring._mpow[k + 1]) \
+                        == len(full[k]) - len(full[k + 1]), (ring.name, k)
+            ideals = {
+                "D": d.D,
+                "t^c D": from_generators(ring, tuple(g.shift(c) for g in d.D.generators)),
+                "m D": from_generators(ring, tuple(x * g for x in gens for g in d.D.generators)),
+            }
+            for name, I in ideals.items():
+                assert I.basis.truncation == I.membership_bound + e
+                full[name] = close_under(I.generators, gens, N)
+                assert_same(I.basis, full[name], (ring.name, name))
+            assert quotient_dim(d.D.basis, ideals["m D"].basis) \
+                == len(full["D"]) - len(full["m D"]) == d.mu_Jmin
+            assert quotient_dim(ring.ring_basis, ideals["t^c D"].basis) \
+                == len(full[0]) - len(full["t^c D"]) == d.lambda_tcD
+
+    def test_verification_compares_the_basis(self, monkeypatch):
+        # one coefficient of one row of the 2N basis changed, with the gaps
+        # unchanged, fails the check
+        perturb_verification(monkeypatch)
+        with pytest.raises(InternalInconsistency, match="doubling verification"):
+            analyze(BranchSpec.from_strings(["t^4+t^5", "t^9"]))
+
+    def test_verification_closes_only_the_ring(self, monkeypatch):
+        # n and s are functions of the certified rows, so the check at 2N
+        # closes the ring and nothing else
+        events = []
+
+        def spy(name):
+            fn = getattr(branch_module, name)
+
+            def wrapped(*args, **kwargs):
+                events.append((name, args[2]) if name == "_analyze_at" else name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("_analyze_at", "close_under", "m_power_basis"):
+            monkeypatch.setattr(branch_module, name, spy(name))
+        ring = analyze(BranchSpec.from_strings(["t^3", "t^4", "t^5"]))
+        start = events.index(("_analyze_at", 2 * ring.truncation))
+        assert "m_power_basis" in events[:start]
+        assert events[start + 1:] == ["close_under"]
 
     def test_truncation_cap_respected(self):
         # <39, 40> has conductor 38*39 = 1482; a tiny cap cannot certify it

@@ -9,7 +9,8 @@ import branchinv.branch
 import branchinv.cli
 import branchinv.ideals
 from branchinv.cli import main, read_branch_file, read_ideal_file
-from branchinv.errors import InternalInconsistency
+from branchinv.errors import InternalInconsistency, TruncationExhausted
+from conftest import perturb_verification
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -153,12 +154,14 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("generator, degree, flags, need", [
         ("(1+t)^3000-1", 3000, [], 12016),
         ("(t+t^2)^20000", 40000, [], 160016),
-        ("(t+t^2)^20000", 40000, ["--truncation", "100"], 40001),
+        ("(t+t^2)^20000", 40000, ["--truncation", "100"], 40002),
+        ("(1+t)^3000-1", 3000, ["--truncation", "100"], 3002),
     ])
     def test_degree_cap_holds_before_expansion(self, tmp_path, capsys, generator, degree,
                                                flags, need):
-        # the first truncation 4*degree + 16 (or, with --truncation, any
-        # truncation above the degree) passes the cap, so the generator is
+        # the first truncation 4*degree + 16 passes the cap, or, with
+        # --truncation, degree + 2 passes the largest truncation tried (2048,
+        # half the cap, as the verification follows), so the generator is
         # refused before it is expanded
         path = write(tmp_path, "huge.branch", f"t^2\n{generator}\n")
         start = time.perf_counter()
@@ -166,8 +169,9 @@ class TestAnalyzeCommand:
         assert time.perf_counter() - start < 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        bound = "the cap 4096" if need > 4096 else "the largest truncation tried, 2048"
         assert (f":2: generator degree {degree} needs truncation at least {need}, "
-                "above the cap 4096") in captured.err
+                f"above {bound}") in captured.err
 
     @pytest.mark.parametrize("value", ["-5", "0"])
     def test_truncation_below_one_is_input_error(self, plane49_file, capsys, value):
@@ -200,8 +204,8 @@ class TestAnalyzeCommand:
         assert "results withheld" in captured.err and "Gorenstein" in captured.err
 
     def test_one_verification_per_run(self, plane49_file, capsys, monkeypatch):
-        # 64 certifies the ring, which is moved to the 89 that compute needs
-        # with no closure; only the reported ring is verified, at 178
+        # 64 certifies the ring, which is reported at the 89 that the CLI
+        # asks for, with the same rows; only that ring is verified, at 178
         tried = record_tries(monkeypatch)
         assert main(["analyze", plane49_file, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["truncation"] == 89
@@ -220,13 +224,27 @@ class TestAnalyzeCommand:
 
     def test_tries_that_cannot_certify_are_skipped(self, tmp_path, capsys, monkeypatch):
         # below 3000 + 1 + e no run of e certified values fits, so no
-        # truncation of 100 .. 2048 closes the ring
+        # truncation of 100 .. 2048 closes the ring; the CLI refuses the
+        # degree before it parses the file
         tried = record_tries(monkeypatch)
+        spec = branchinv.branch.BranchSpec.from_strings(["t^2", "t^3+t^3000"])
+        with pytest.raises(TruncationExhausted) as exc:
+            branchinv.branch.analyze(spec, initial_truncation=100)
+        assert str(exc.value) == (
+            "no stable analysis below truncation 4096 (no certified conductor run)")
         path = write(tmp_path, "wide.branch", "t^2\nt^3+t^3000\n")
         assert main(["analyze", path, "--json", "--truncation", "100"]) == 3
         assert tried == []
         assert capsys.readouterr().err == (
-            "error: no stable analysis below truncation 4096 (no certified conductor run)\n")
+            f"error: {path}:2: generator degree 3000 needs truncation at least 3002, "
+            "above the largest truncation tried, 2048 (at position 6)\n")
+
+    def test_verification_mismatch_exits_4(self, plane49_file, capsys, monkeypatch):
+        perturb_verification(monkeypatch)
+        assert main(["analyze", plane49_file, "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "results withheld" in captured.err and "doubling verification" in captured.err
 
     def test_ideal_inverted_once(self, capsys, monkeypatch):
         # inverse(I) is kept on I, so trace, h_invariant and realizes_itself
@@ -298,9 +316,9 @@ class TestAnalyzeCommand:
         assert report["ideal"]["h"] == 1
         assert report["ideal"]["realizes_itself"] is None
 
-    def test_ideal_room_moves_the_ring(self, tmp_path, capsys):
-        # t^200 needs a ring truncation above 204; the ring is moved there for
-        # the ideal alone, so the reported truncation is the one without it
+    def test_ideal_closes_past_the_ring_truncation(self, tmp_path, capsys):
+        # the closure of t^200 runs to 204, past the ring's truncation 64; the
+        # reported truncation is the one without the ideal
         branch = write(tmp_path, "c.branch", "t^2\nt^3\n")
         assert main(["analyze", branch, "--json"]) == 0
         plain = json.loads(capsys.readouterr().out)

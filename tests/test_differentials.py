@@ -3,6 +3,7 @@ from branchinv.differentials import compute, derivative_module
 from branchinv.echelon import quotient_dim
 from branchinv.ideals import from_generators, h_invariant, min_generators, trace
 from branchinv.series import monomials
+from conftest import at
 
 
 def realized_copy(d):
@@ -19,7 +20,7 @@ class TestDerivativeModule:
     def test_regular_branch_gives_full_ring(self, line):
         D = derivative_module(line)
         assert D.vmin == 0
-        assert D.basis == line.ring_basis
+        assert at(D.basis, line.truncation) == line.ring_basis
 
     def test_deep_branch_valuation(self, embdim7):
         assert derivative_module(embdim7).vmin == 7

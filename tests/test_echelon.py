@@ -15,6 +15,7 @@ from branchinv.errors import (
 )
 from branchinv.semigroup import sieve
 from branchinv.series import TruncatedSeries, parse_series
+from conftest import at
 
 one = TruncatedSeries.one
 
@@ -215,23 +216,36 @@ class TestTail:
         # 23 is the largest gap of <4,9>: a tail claimed from 20 breaks its run
         mults = [t("t^4"), t("t^9")]
         with pytest.raises(UncertifiedTail, match="valuation 23 missing"):
-            close_under([one()], mults, 60, tail_from=20)
+            close_under([one()], mults, tail_from=20)
         with pytest.raises(UncertifiedTail, match="valuation 23 missing"):
             close_under([one()], mults, 60).with_tail(20)
-        assert close_under([one()], mults, 60, tail_from=24).tail_from == 24
+        assert close_under([one()], mults, tail_from=24).tail_from == 24
 
     def test_tail_is_canonical(self):
-        # the claimed tail 30 lies above the least one, the conductor 24
-        basis = close_under([one()], [t("t^4+t^5"), t("t^9")], 60, tail_from=30)
-        assert basis.tail_from == 24 and max(basis._rows) == 22
-        assert basis == close_under([one()], [t("t^4+t^5"), t("t^9")], 60)
+        # the claimed tail 30 lies above the least one, the conductor 24; the
+        # closure stops at 30 + 4, the claimed tail plus the least valuation
+        basis = close_under([one()], [t("t^4+t^5"), t("t^9")], tail_from=30)
+        assert basis.tail_from == 24 and max(basis._rows) == 22 and basis.truncation == 34
+        assert at(basis, 60) == close_under([one()], [t("t^4+t^5"), t("t^9")], 60)
 
     def test_insert_lowers_the_tail(self):
         # adding t^23 to <4,9> fills its last gap; 20, 21, 22 join the tail
-        ring = close_under([one()], [t("t^4"), t("t^9")], 60, tail_from=24)
+        ring = close_under([one()], [t("t^4"), t("t^9")], tail_from=24)
         grown, changed = ring.insert(t("t^23+t^40"))
         assert changed and grown.tail_from == 20 and max(grown._rows) == 18
-        assert grown == close_under([one(), t("t^23")], [t("t^4"), t("t^9")], 60)
+        assert at(grown, 60) == close_under([one(), t("t^23")], [t("t^4"), t("t^9")], 60)
+
+    def test_truncation_or_tail(self):
+        with pytest.raises(ValueError):
+            close_under([one()], [t("t^2")], 10, tail_from=2)
+        with pytest.raises(ValueError):
+            close_under([one()], [t("t^2")])
+
+    def test_quotient_dim_across_truncations(self):
+        # <4,9> closed from its conductor stops at 28; k[[t]] is closed to 40
+        rbar = close_under([one()], [t("t")], 40).with_tail(0)
+        ring = close_under([one()], [t("t^4+t^5"), t("t^9")], tail_from=24)
+        assert ring.truncation == 28 and quotient_dim(rbar, ring) == 12
 
 
 primitive_pairs = st.tuples(st.integers(2, 7), st.integers(3, 11)).filter(
@@ -257,11 +271,12 @@ def test_tailed_closure_is_uncut_closure_cut_below_tail(ab, p, q, seeds, extra, 
     if not seeds:
         return
     tail = c + min(int(s.valuation()) for s in seeds)
-    N = tail + 1 + extra  # below and above tail + a, the run the closure checks
-    tailed = close_under(seeds, mults, N, tail_from=tail)
+    N = tail + 1 + extra  # below and above tail + a, where the tailed closure stops
+    tailed = close_under(seeds, mults, tail_from=tail)
     full = close_under(seeds, mults, N)
-    assert tailed.tail_from <= tail
+    assert tailed.truncation == tail + a and tailed.tail_from <= tail
     assert full.with_tail(tailed.tail_from)._rows == tailed._rows
+    tailed = at(tailed, N)
     assert full == tailed
     assert len(full) == len(tailed) and full.pivot_valuations == tailed.pivot_valuations
     for f in probes:

@@ -24,6 +24,7 @@ from branchinv.ideals import (
     trace,
 )
 from branchinv.series import TruncatedSeries, monomials, parse_series
+from conftest import at
 
 tp = TruncatedSeries.t_power
 
@@ -40,12 +41,12 @@ class TestFromGenerators:
 
     def test_unit_generator_recovers_ring(self, plane49):
         I = from_generators(plane49, (TruncatedSeries.one(),))
-        assert I.basis == plane49.ring_basis
+        assert at(I.basis, plane49.truncation) == plane49.ring_basis
 
     def test_maximal_ideal_of_cusp(self, cusp):
         m = from_generators(cusp, (parse_series("t^2"), parse_series("t^3")))
         assert m.vmin == 2
-        assert m.basis.pivot_valuations[:5] == (2, 3, 4, 5, 6)
+        assert at(m.basis, cusp.truncation).pivot_valuations[:5] == (2, 3, 4, 5, 6)
 
     def test_zero_generator_rejected(self, cusp):
         with pytest.raises(ValueError):
@@ -112,7 +113,7 @@ class TestTrace:
 
     def test_trace_of_ring_is_ring(self, plane49):
         R = from_generators(plane49, (TruncatedSeries.one(),))
-        assert trace(R).basis == plane49.ring_basis
+        assert at(trace(R).basis, plane49.truncation) == plane49.ring_basis
 
     def test_integral_ideal_contained_in_trace(self, cusp, t345):
         for ring in (cusp, t345):
@@ -255,10 +256,10 @@ class TestDeletedRoutes:
                 from_generators(diff.ring, tuple(alpha * g for g in D.generators)))
 
     def test_random_ideal_files(self, corpus, tmp_path):
-        # each file goes through the CLI's ideal section; the references run
-        # on the ring moved to the room of every closure they make
+        # each file goes through the CLI's ideal section; the references'
+        # closures size themselves, in many files past the ring's truncation
         rng = random.Random(80)
-        negative = moved = 0
+        negative = beyond = 0
         for k in range(60):
             ring = corpus[k % 20].ring
             lines = []
@@ -273,15 +274,15 @@ class TestDeletedRoutes:
             gens = tuple(e.shift(-shift) for e in read_ideal_file(str(path))[1])
             vmin = min(int(g.valuation()) for g in gens)
             c, e = ring.conductor_c, ring.multiplicity
-            I = from_generators(ring.moved(max(ring.truncation, 2 * c + abs(vmin) + e + 1)), gens)
+            I = from_generators(ring, gens)
             ref = reference_trace(I)
             assert sec["vmin"] == vmin
             assert sec["h"] == reference_h(I)
             assert sec["trace_vmin"] == ref.vmin
             assert sec["trace_gaps"] == list(ref.basis.gaps_below(ref.membership_bound, ref.vmin))
             negative += vmin < 0
-            moved += c + max(vmin, c) + e + 1 > ring.truncation  # as the CLI does
-        assert negative >= 10 and moved >= 5
+            beyond += c + max(vmin, c) + e + 1 > ring.truncation  # the CLI's cap
+        assert negative >= 10 and beyond >= 5
 
 
 def _random_series(rng, lo, hi):
@@ -291,7 +292,9 @@ def _random_series(rng, lo, hi):
 
 
 def assert_tail_matches_uncut(full, tailed, rng, lo, bounds):
-    """A tailed basis against the uncut closure at the same N, cut below its tail."""
+    """A tailed basis, relabeled at the uncut closure's N, against that
+    closure cut below its tail."""
+    tailed = at(tailed, full.truncation)
     cut = full.with_tail(tailed.tail_from)
     assert cut._rows == tailed._rows and cut.tail_from == tailed.tail_from
     assert full == tailed and tailed == cut
