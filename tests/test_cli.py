@@ -19,8 +19,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CASES = [
     (f"{p.stem}.json", f"branches/{p.name}", None)
     for p in sorted((REPO / "branches").glob("*.branch"))
-] + [("cusp_with_maximal_ideal.json", "branches/cusp.branch",
-      "branches/cusp_maximal_ideal.ideal")]
+] + [
+    ("cusp_with_maximal_ideal.json", "branches/cusp.branch", "branches/cusp_maximal_ideal.ideal"),
+    # k[[t]], whose trace is the conductor: vmin(tr) = c
+    ("deep15_with_normalization.json", "branches/deep15.branch",
+     "branches/deep15_normalization.ideal"),
+    # t^-18 m: vmin < 0
+    ("deep15_with_shifted_maximal_ideal.json", "branches/deep15.branch",
+     "branches/deep15_shifted_maximal_ideal.ideal"),
+    # c = 0: the trace's conductor seeds are t^0, ..., t^(e-1)
+    ("regular_with_ideal.json", "branches/regular.branch", "branches/regular_ideal.ideal"),
+]
 
 EXPECTED_KEYS = ["name", "generators", "truncation", "stable", "n", "s", "delta",
                  "conductor", "gaps", "gorenstein", "vD", "lambda_D", "v_Dinv",
