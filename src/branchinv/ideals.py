@@ -11,10 +11,12 @@ runs: `from_generators` closes M with the a-priori tail c + vmin, so the
 closure runs only to c + vmin + e, whatever the ring's truncation, and
 stores rows only below its tail.
 
-Closures run only where an answer needs a span.  The inverse scan yields
-generators of R :_K I, which only the trace reads, and the trace closes
-I * I^{-1} from their products with I's; h needs no closure past I's own,
-since it is invariant under I -> t^k I.
+Closures run only where an answer needs a span.  The inverse scan reduces
+each generator's shifts against the ring's integer rows, below c only, and
+yields generators of R :_K I.  The trace contains t^c k[[t]], so it closes
+only the products of I's and I^{-1}'s generators of valuation below c,
+together with t^c, ..., t^(c+e-1).  h needs no closure past I's own, since
+it is invariant under I -> t^k I.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from fractions import Fraction
 from math import lcm
 
 from .branch import RingData
-from .echelon import EchelonBasis, _Builder, close_under, quotient_dim
+from .echelon import (EchelonBasis, _Builder, _reduce_vec, _vec_from_series, close_under,
+                      quotient_dim)
 from .errors import (
     InsufficientTruncation,
     InternalInconsistency,
@@ -57,7 +60,10 @@ class FractionalIdeal:
 class InverseData:
     v_inverse: int
     realizer: TruncatedSeries
-    generators: tuple[TruncatedSeries, ...]  # of R :_K I, as an R-module
+    # of R :_K I, as an R-module: the scan's solutions, then t^(c-vmin+j) for
+    # 0 < j < c.  The trace skips the powers (their products with I lie in
+    # t^c k[[t]]); they stay so that the tuple still generates I^{-1}.
+    generators: tuple[TruncatedSeries, ...]
 
 
 def from_generators(ring: RingData, gens) -> FractionalIdeal:
@@ -85,31 +91,34 @@ def from_generators(ring: RingData, gens) -> FractionalIdeal:
 
 
 def _reduction_columns(ring: RingData, gens, w_lo: int, w_hi: int):
-    """For each w in [w_lo, w_hi], the stacked remainders of t^w * g_i mod R.
+    """For each w in [w_lo, w_hi], the stacked remainders of t^w * g_i mod R,
+    as an integer column and its positive denominator.
 
     The coefficient of t^e in the remainder of t^w * g_i sits at key
     i*c + e (e < c); a column is empty iff t^w * g_i lies in R for every i,
-    i.e. iff t^w multiplies the ideal into the ring.
+    i.e. iff t^w multiplies the ideal into the ring.  Each generator is
+    converted once, cut below c - w_lo: at every level its keys from c up
+    shift into t^c k[[t]], which lies in R.
     """
     c = ring.conductor_c
+    rows = ring.ring_basis._rows
+    vecs = []
+    for g in gens:
+        if g.truncation + w_lo < c:
+            raise InsufficientTruncation(
+                f"generator known to t^{g.truncation} cannot support membership "
+                f"constraints at shift {w_lo}"
+            )
+        vecs.append(_vec_from_series(g, c - w_lo))
     cols = {}
     for w in range(w_lo, w_hi + 1):
-        col: dict[int, Fraction] = {}
-        for i, g in enumerate(gens):
-            if g.truncation + w < c:
-                raise InsufficientTruncation(
-                    f"generator known to t^{g.truncation} cannot support membership "
-                    f"constraints at shift {w}"
-                )
-            rem = ring.ring_basis.reduce(g.shift(w))
-            for e, cf in rem.terms().items():
-                if e < c:
-                    col[i * c + e] = cf
-                else:
-                    raise InternalInconsistency(
-                        "reduction left support above the conductor; tail broken"
-                    )
-        cols[w] = col
+        parts = []
+        for num, den in vecs:
+            shifted = {e + w: a for e, a in num.items() if e + w < c}
+            parts.append(_reduce_vec(shifted, den, rows))
+        den = lcm(*(d for _, d in parts))
+        cols[w] = ({i * c + e: a * (den // d) for i, (rem, d) in enumerate(parts)
+                    for e, a in rem.items()}, den)
     return cols
 
 
@@ -122,7 +131,9 @@ def inverse(I: FractionalIdeal) -> InverseData:
     higher columns.  The top level m = c - vmin always works, so the scan
     cannot run off the end.  The solutions, one per admitted level, and
     t^(c-vmin+j) for 0 < j < c generate R :_K I; nothing here closes them.
-    The result is kept on I, so it is computed once.
+    A positive rescaling of a column changes nothing: every vector the
+    elimination keeps is made primitive.  The result is kept on I, so it is
+    computed once.
     """
     if I._inverse is not None:
         return I._inverse
@@ -140,8 +151,7 @@ def inverse(I: FractionalIdeal) -> InverseData:
     b = _Builder()
     solutions: dict[int, TruncatedSeries] = {}
     for w in range(hi, lo - 1, -1):
-        den = lcm(*(cf.denominator for cf in cols[w].values()))
-        num = {k: int(cf * den) for k, cf in cols[w].items()}
+        num, den = cols[w]
         num[aug + w - lo] = den
         vec = b.reduce(num, 1)
         if min(vec) < aug:
@@ -178,10 +188,20 @@ def product(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
 
 
 def trace(I: FractionalIdeal) -> FractionalIdeal:
-    """The trace ideal I * I^{-1} (the sum of images of all maps I -> R),
-    closed from the pairwise products of I's and I^{-1}'s generators."""
+    """The trace ideal I * I^{-1} (the sum of images of all maps I -> R).
+
+    It contains t^c k[[t]]: t^(c-vmin) k[[t]] lies in I^{-1}, and a generator
+    of valuation vmin carries it onto t^c k[[t]].  So the closure is seeded
+    only with the products g * h of valuation below c and with t^c, ...,
+    t^(c+e-1), which generate t^c k[[t]]; every product left out lies there.
+    """
+    ring = I.ring
+    c = ring.conductor_c
     inv = inverse(I)
-    out = from_generators(I.ring, tuple(g * h for g in I.generators for h in inv.generators))
+    seeds = tuple(g * h for g in I.generators for h in inv.generators
+                  if g.valuation() + h.valuation() < c)
+    seeds += tuple(TruncatedSeries.t_power(c + j) for j in range(ring.multiplicity))
+    out = from_generators(ring, seeds)
     if out.vmin != I.vmin + inv.v_inverse:
         raise InternalInconsistency("trace valuation disagrees with scan minimum")
     return out

@@ -1,17 +1,24 @@
+import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import branchinv.ideals
 from branchinv.branch import m_power_basis
 from branchinv.cli import _ideal_section, read_ideal_file
 from branchinv.echelon import close_under, quotient_dim
 from branchinv.errors import (
+    InsufficientTruncation,
     NotAnIntegralIdeal,
     NotInNormalization,
     RingMismatch,
 )
 from branchinv.ideals import (
+    _reduction_columns,
     colength_in_normalization,
     conductor_ideal,
     from_generators,
@@ -111,9 +118,51 @@ class TestTrace:
         assert trace(diff_embdim7.D).vmin == 7 + 3
         assert trace(diff_four_gens.D).vmin == 8 + 18
 
-    def test_trace_of_ring_is_ring(self, plane49):
-        R = from_generators(plane49, (TruncatedSeries.one(),))
-        assert at(trace(R).basis, plane49.truncation) == plane49.ring_basis
+    def test_trace_of_ring_is_ring(self, line, cusp, plane49):
+        for ring in (line, cusp, plane49):
+            R = from_generators(ring, (TruncatedSeries.one(),))
+            assert at(trace(R).basis, ring.truncation) == ring.ring_basis
+
+    def test_trace_of_normalization_is_conductor(self, line, cusp, t345, plane49, four_gens):
+        for ring in (line, cusp, t345, plane49, four_gens):
+            assert trace(normalization_ideal(ring)).basis == conductor_ideal(ring).basis
+
+    def test_realizer_product_at_conductor_keeps_vmin(self, cusp, plane49, four_gens):
+        # every product g * h has valuation >= c and none seeds the closure:
+        # t^c, one of the conductor seeds, gives the trace its vmin
+        m = from_generators(cusp, (tp(2), tp(3)))
+        shifted = from_generators(plane49, tuple(tp(j - 3) for j in range(plane49.multiplicity)))
+        for I in (m, shifted, normalization_ideal(four_gens)):
+            c = I.ring.conductor_c
+            assert I.vmin + inverse(I).v_inverse == c
+            assert trace(I).vmin == c == reference_trace(I).vmin
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_trace_matches_closed_product(self, line, cusp, t345, plane49, mono_5_6_14, data):
+        ring = data.draw(st.sampled_from((line, cusp, t345, plane49, mono_5_6_14)))
+        c, e = ring.conductor_c, ring.multiplicity
+        vmin = data.draw(st.integers(-c, 2 * c))
+        kind = data.draw(st.sampled_from(("random", "normalization", "conductor")))
+        if kind == "normalization":
+            gens = tuple(tp(vmin + j) for j in range(e))
+        elif kind == "conductor":
+            gens = tuple(tp(vmin + j) for j in range(max(c, 1)))
+        else:
+            coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+            gens = []
+            for k in range(data.draw(st.integers(1, 3))):
+                terms = data.draw(st.dictionaries(st.integers(vmin + (k > 0), vmin + 2 * c + 4),
+                                                  coeff, max_size=3))
+                if k == 0:
+                    terms[vmin] = Fraction(1)
+                if any(terms.values()):
+                    gens.append(TruncatedSeries.from_terms(terms))
+        I = from_generators(ring, gens)
+        tr, ref = trace(I), reference_trace(I)
+        assert tr.vmin == ref.vmin
+        assert tr.basis._rows == ref.basis._rows
+        assert tr.basis.tail_from == ref.basis.tail_from
 
     def test_integral_ideal_contained_in_trace(self, cusp, t345):
         for ring in (cusp, t345):
@@ -236,6 +285,67 @@ def reference_trace(I):
     return product(I, from_generators(I.ring, inverse(I).generators))
 
 
+def reference_reduction_columns(ring, gens, w_lo, w_hi):
+    """The reduction columns by the deleted route: each t^w * g_i reduced as a
+    Fraction series, one level and one generator at a time."""
+    c = ring.conductor_c
+    cols = {}
+    for w in range(w_lo, w_hi + 1):
+        col = {}
+        for i, g in enumerate(gens):
+            if g.truncation + w < c:
+                raise InsufficientTruncation(f"generator known to t^{g.truncation}, shift {w}")
+            rem = ring.ring_basis.reduce(g.shift(w))
+            for e, cf in rem.terms().items():
+                assert e < c
+                col[i * c + e] = cf
+        cols[w] = col
+    return cols
+
+
+def reference_inverse(I, monkeypatch):
+    """inverse() run on a fresh copy of I with the deleted route's columns,
+    brought to an integer column over their denominators' lcm."""
+    def columns(ring, gens, w_lo, w_hi):
+        out = {}
+        for w, col in reference_reduction_columns(ring, gens, w_lo, w_hi).items():
+            den = lcm(*(cf.denominator for cf in col.values()))
+            out[w] = ({k: int(cf * den) for k, cf in col.items()}, den)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(branchinv.ideals, "_reduction_columns", columns)
+        return inverse(dataclasses.replace(I, _inverse=None))
+
+
+def random_ideal_files(corpus, tmp_path, count, seed):
+    """Seeded ideal files over the corpus rings, with shifts from -100 to 9:
+    yields each ring, file and the generators the file stands for."""
+    rng = random.Random(seed)
+    for k in range(count):
+        ring = corpus[k % 20].ring
+        lines = []
+        for _ in range(rng.randint(1, 3)):
+            exps = sorted(rng.sample(range(13), rng.randint(1, 3)))
+            lines.append("+".join(f"{rng.randint(1, 3)}*t^{x}" for x in exps)
+                         + (f"-t^{rng.randint(0, 15)}" if rng.random() < 0.3 else ""))
+        shift = rng.choice((-100, -20, -3, 0, 2, 5, 9))
+        path = tmp_path / f"r{seed}-{k}.ideal"
+        path.write_text(f"shift: {shift}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        yield ring, str(path), tuple(e.shift(-shift) for e in read_ideal_file(str(path))[1])
+
+
+def scaled_derivative_modules(corpus, seed):
+    """Each corpus D, then a copy alpha * D with alpha of valuation -4 to 4."""
+    rng = random.Random(seed)
+    for diff in corpus:
+        D = diff.D
+        yield D
+        alpha = parse_series(f"{rng.randint(1, 4)}+{rng.randint(1, 5)}*t^2").shift(
+            rng.randint(-4, 4))
+        yield from_generators(diff.ring, tuple(alpha * g for g in D.generators))
+
+
 class TestDeletedRoutes:
     """h and the trace against the closures they no longer run."""
 
@@ -246,32 +356,15 @@ class TestDeletedRoutes:
         assert tr.vmin == ref.vmin and tr.basis == ref.basis
 
     def test_derivative_modules_and_scaled_copies(self, corpus):
-        rng = random.Random(8)
-        for diff in corpus:
-            D = diff.D
-            self.assert_routes_agree(D)
-            alpha = parse_series(f"{rng.randint(1, 4)}+{rng.randint(1, 5)}*t^2").shift(
-                rng.randint(-4, 4))
-            self.assert_routes_agree(
-                from_generators(diff.ring, tuple(alpha * g for g in D.generators)))
+        for I in scaled_derivative_modules(corpus, 8):
+            self.assert_routes_agree(I)
 
     def test_random_ideal_files(self, corpus, tmp_path):
         # each file goes through the CLI's ideal section; the references'
         # closures size themselves, in many files past the ring's truncation
-        rng = random.Random(80)
         negative = beyond = 0
-        for k in range(60):
-            ring = corpus[k % 20].ring
-            lines = []
-            for _ in range(rng.randint(1, 3)):
-                exps = sorted(rng.sample(range(13), rng.randint(1, 3)))
-                lines.append("+".join(f"{rng.randint(1, 3)}*t^{x}" for x in exps)
-                             + (f"-t^{rng.randint(0, 15)}" if rng.random() < 0.3 else ""))
-            shift = rng.choice((-100, -20, -3, 0, 2, 5, 9))
-            path = tmp_path / f"r{k}.ideal"
-            path.write_text(f"shift: {shift}\n" + "\n".join(lines) + "\n", encoding="utf-8")
-            sec = _ideal_section(ring, str(path), 4096)
-            gens = tuple(e.shift(-shift) for e in read_ideal_file(str(path))[1])
+        for ring, path, gens in random_ideal_files(corpus, tmp_path, 60, 80):
+            sec = _ideal_section(ring, path, 4096)
             vmin = min(int(g.valuation()) for g in gens)
             c, e = ring.conductor_c, ring.multiplicity
             I = from_generators(ring, gens)
@@ -283,6 +376,49 @@ class TestDeletedRoutes:
             negative += vmin < 0
             beyond += c + max(vmin, c) + e + 1 > ring.truncation  # the CLI's cap
         assert negative >= 10 and beyond >= 5
+
+    @staticmethod
+    def assert_columns_agree(I, monkeypatch):
+        """Each level's integer column over its denominator is the Fraction
+        route's column, so the integer column is a positive multiple of it,
+        and the scan on either finds the same inverse."""
+        ring, c = I.ring, I.ring.conductor_c
+        lo, hi = -I.vmin, c - I.vmin
+        cols = _reduction_columns(ring, I.generators, lo, hi)
+        ref = reference_reduction_columns(ring, I.generators, lo, hi)
+        assert cols.keys() == ref.keys()
+        for w, (num, den) in cols.items():
+            assert den > 0 and all(num.values())
+            assert {k: Fraction(a, den) for k, a in num.items()} == ref[w]
+        inv, ref_inv = inverse(I), reference_inverse(I, monkeypatch)
+        assert inv.v_inverse == ref_inv.v_inverse
+        assert inv.realizer == ref_inv.realizer
+        assert inv.generators == ref_inv.generators
+
+    def test_reduction_columns_against_fraction_route(self, corpus, tmp_path, monkeypatch):
+        for I in scaled_derivative_modules(corpus, 8):
+            self.assert_columns_agree(I, monkeypatch)
+        for ring, _path, gens in random_ideal_files(corpus, tmp_path, 60, 81):
+            self.assert_columns_agree(from_generators(ring, gens), monkeypatch)
+
+    def test_insufficient_truncation_at_same_shifts(self, corpus):
+        # generators known only to t^T: both routes refuse exactly the scans
+        # starting at a shift w_lo with T + w_lo < c
+        rng = random.Random(82)
+        for diff in corpus[:20]:
+            ring, c = diff.ring, diff.ring.conductor_c
+            gens = tuple(TruncatedSeries.from_terms(g.terms(), g.valuation() + rng.randint(1, c + 2))
+                         for g in diff.D.generators)
+            T = min(g.truncation for g in gens)
+            for w_lo in range(c - T - 2, c - T + 3):
+                refused = []
+                for columns in (_reduction_columns, reference_reduction_columns):
+                    try:
+                        columns(ring, gens, w_lo, w_lo + 2)
+                        refused.append(False)
+                    except InsufficientTruncation:
+                        refused.append(True)
+                assert refused == [T + w_lo < c] * 2, (ring.name, w_lo)
 
 
 def _random_series(rng, lo, hi):
