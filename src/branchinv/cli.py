@@ -27,7 +27,10 @@ Exit codes:
         generator whose degree alone rules out every try is refused
         unexpanded: past (M - 16)/4 (the first truncation is 4*degree + 16),
         or, with ``--truncation T``, past the largest truncation tried less 2
-        (the larger of T and the last retry, at most M)
+        (the larger of T and the last retry, at most M).  An ``--ideal``
+        generator of degree past M + k, under ``shift: k`` with k >= 0, or
+        past M, with k < 0, is refused unexpanded as well: no ideal closure
+        reads at or past M
     4   two independent routes to the same quantity disagreed
         (``InternalInconsistency``); no results are reported
 """
@@ -107,10 +110,18 @@ def read_branch_file(path: str, max_truncation: int | None = None,
     return BranchSpec(tuple(exprs), name=name)
 
 
-def read_ideal_file(path: str) -> tuple[int, list, str | None]:
+def read_ideal_file(path: str, max_truncation: int | None = None) -> tuple[int, list, str | None]:
+    """The shift and generators of an ideal file, and its name.
+
+    Under a truncation cap M, a generator of degree past M + max(shift, 0)
+    is refused before it is expanded.  Past M + shift, its terms lie at or
+    past M after the shift, where no ideal closure reads; a negative shift
+    keeps the limit at M, so that a generator the shift carries past the cap
+    meets the room check on vmin instead.
+    """
     name = None
     shift = 0
-    exprs = []
+    lines = []
     for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -125,11 +136,21 @@ def read_ideal_file(path: str) -> tuple[int, list, str | None]:
             except ValueError:
                 raise BranchInvError(f"{path}:{lineno}: shift header needs an integer") from None
             continue
+        lines.append((lineno, line))
+    # the shift header may follow the generators it applies to
+    max_degree = None if max_truncation is None else max_truncation + max(shift, 0)
+    exprs = []
+    for lineno, line in lines:
         try:
-            expr = parse_poly(line)
+            expr = parse_poly(line, max_degree)
         except ParseError as exc:
             exc.args = (f"{path}:{lineno}: {exc}",)
             raise
+        except DegreeLimitExceeded as exc:
+            raise TruncationExhausted(
+                f"{path}:{lineno}: generator degree {exc.degree} is above {max_degree}: after "
+                f"the shift {shift} it passes the cap {max_truncation} (at position {exc.position})"
+            ) from None
         if expr.is_zero():
             raise BranchInvError(f"{path}:{lineno}: an ideal generator must be nonzero")
         exprs.append(expr)
@@ -283,7 +304,7 @@ def required_truncation(ring: RingData) -> int:
 
 
 def _ideal_section(ring: RingData, path: str, max_truncation: int) -> dict:
-    shift, exprs, _name = read_ideal_file(path)
+    shift, exprs, _name = read_ideal_file(path, max_truncation)
     gens = tuple(e.shift(-shift) for e in exprs)
     # I's closure runs to c + vmin + e, and the trace's to c + vmin + v(I^-1)
     # + e, where v(I^-1) <= c - vmin: the cap bounds both

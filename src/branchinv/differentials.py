@@ -8,8 +8,11 @@ aborts the run instead of reporting anything.
 
 The realized copy J = alpha D (alpha realizes v(D^{-1})) carries alpha's large
 coefficients and is never closed.  J is isomorphic to D, so mu(J) = mu(D).
-Once J lies in m^s, m J lies in m^(s+1), so J + m^(s+1) is the k-span of the n
-products alpha x_i' added to the m^(s+1) basis.
+Its least valuation is v(D^{-1}) + v(D), and m^s holds no valuation below
+s*e: below that bound J is not in m^s, and no m^s closure runs.  Otherwise
+membership is tested against the m^s basis.  Once J lies in m^s, m J lies
+in m^(s+1), so J + m^(s+1) is the k-span of the n products alpha x_i' added
+to the m^(s+1) basis.
 
 Every closure here starts from its a-priori tail and sizes itself, so this
 works on the ring at whatever truncation `analyze` reports.
@@ -93,14 +96,15 @@ def compute(ring: RingData) -> DifferentialData:
     in_ms: bool | None = None
     mu_msJ: int | None = None
     if s is not None:
-        ms = m_power_basis(ring, s)
-        ms_bound = c + s * ring.multiplicity
-        in_ms = all(ms.member(g, ms_bound) for g in J_gens)
+        # J's least valuation below s*e decides in_ms with no m^s closure
+        se = s * ring.multiplicity
+        in_ms = v_Dinv + v_D >= se and all(
+            m_power_basis(ring, s).member(g, c + se) for g in J_gens)
         if in_ms:
             span = m_power_basis(ring, s + 1)
             for g in J_gens:
                 span, _ = span.insert(g)
-            mu_msJ = quotient_dim(ms, span)
+            mu_msJ = quotient_dim(m_power_basis(ring, s), span)
 
     return DifferentialData(
         ring=ring,

@@ -13,9 +13,13 @@ stores rows only below its tail.
 
 Closures run only where an answer needs a span.  The inverse scan reduces
 each generator's shifts against the ring's integer rows, below c only, and
-yields generators of R :_K I.  The trace contains t^c k[[t]], so it closes
-only the products of I's and I^{-1}'s generators of valuation below c,
-together with t^c, ..., t^(c+e-1).  h needs no closure past I's own, since
+yields generators of R :_K I.  It stops at m0, the least z with z + v(I)
+inside v(R), read off I's value set and R's gaps: valuations add, so no
+element of I^{-1} lies below m0.  The levels it admits are checked against
+that bound, with equality on a Gorenstein ring (Jaeger's duality).  The
+trace contains t^c k[[t]], so it closes only the products of I's and
+I^{-1}'s generators of valuation below c, together with t^c, ...,
+t^(c+e-1).  h needs no closure past I's own, since
 it is invariant under I -> t^k I.
 """
 
@@ -122,6 +126,22 @@ def _reduction_columns(ring: RingData, gens, w_lo: int, w_hi: int):
     return cols
 
 
+def _multiplier_levels(I: FractionalIdeal) -> list[int]:
+    """The levels z with z + v(I) inside v(R), ascending: they lie in
+    [-vmin, c - vmin], and the top one, c - vmin, is always there.
+
+    Every alpha in I^{-1} has v(alpha) among them, since v(alpha * g) =
+    v(alpha) + v(g) is a value of R.  Only I's values below c + vmin can
+    meet a gap of R.  Bit j of `values` stands for the value vmin + j, so
+    its shift by z + vmin marks the values z + v(I).
+    """
+    c, vmin = I.ring.conductor_c, I.vmin
+    gaps = set(I.basis.gaps_below(I.membership_bound, vmin))
+    values = sum(1 << j for j in range(c) if vmin + j not in gaps)
+    ring_gaps = sum(1 << g for g in I.ring.gaps)
+    return [z for z in range(-vmin, c - vmin + 1) if not (values << (z + vmin)) & ring_gaps]
+
+
 def inverse(I: FractionalIdeal) -> InverseData:
     """v(I^{-1}), a realizer attaining it, and generators of R :_K I.
 
@@ -129,17 +149,25 @@ def inverse(I: FractionalIdeal) -> InverseData:
     elimination from the top): level m admits alpha = t^m + higher terms with
     alpha*I inside R iff the level-m constraint column is spanned by the
     higher columns.  The top level m = c - vmin always works, so the scan
-    cannot run off the end.  The solutions, one per admitted level, and
-    t^(c-vmin+j) for 0 < j < c generate R :_K I; nothing here closes them.
-    A positive rescaling of a column changes nothing: every vector the
-    elimination keeps is made primitive.  The result is kept on I, so it is
-    computed once.
+    cannot run off the end.  It stops at m0, the least level z with z + v(I)
+    inside v(R): no alpha lies below it, and the rows of lower levels would
+    only reduce levels lower still, so stopping changes no solution.  The
+    solutions, one per admitted level, and t^(c-vmin+j) for 0 < j < c
+    generate R :_K I; nothing here closes them.  A positive rescaling of a
+    column changes nothing: every vector the elimination keeps is made
+    primitive.  The result is kept on I, so it is computed once.
+
+    The levels found are checked against the value-set bound: they lie
+    among the levels z with z + v(I) inside v(R), and on a Gorenstein ring
+    they are all of them, since there v(R :_K I) = v(R) - v(I) (Jaeger's
+    duality, with R its own canonical ideal).
     """
     if I._inverse is not None:
         return I._inverse
     ring = I.ring
     c = ring.conductor_c
-    lo, hi = -I.vmin, c - I.vmin
+    admitted = _multiplier_levels(I)
+    lo, hi = admitted[0], c - I.vmin
     cols = _reduction_columns(ring, I.generators, lo, hi)
 
     # Elimination from w = hi down to lo.  Level w carries the augmentation
@@ -165,6 +193,14 @@ def inverse(I: FractionalIdeal) -> InverseData:
 
     if not solutions:
         raise ScanExhausted("no multiplier found; preconditions violated")
+    found, bound = set(solutions), set(admitted)
+    if not found <= bound:
+        raise InternalInconsistency(
+            f"inverse has levels {sorted(found - bound)} with z + v(I) outside v(R)")
+    if ring.gorenstein and found != bound:
+        raise InternalInconsistency(
+            f"Gorenstein ring, but the inverse misses the levels {sorted(bound - found)} "
+            "with z + v(I) inside v(R)")
     v_inverse = min(solutions)
     realizer = solutions[v_inverse]
     inv_gens = tuple(solutions[w] for w in sorted(solutions)) + tuple(

@@ -367,7 +367,10 @@ class _Parser:
 
 
 def _power(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    """f^k by repeated squaring."""
+    """f^k: a^k t^(d*k) at once for an exact one-term f = a t^d, otherwise by
+    repeated squaring."""
+    if len(f.coeffs) == 1 and f.truncation == INF:
+        return TruncatedSeries.t_power(f.offset * k, f.coeffs[0] ** k)
     out = TruncatedSeries.one()
     while k:
         if k & 1:

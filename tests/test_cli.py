@@ -182,6 +182,32 @@ class TestAnalyzeCommand:
         assert (f":2: generator degree {degree} needs truncation at least {need}, "
                 f"above {bound}") in captured.err
 
+    def test_ideal_degree_cap_holds_before_expansion(self, tmp_path, capsys):
+        # no ideal closure reads at or past the cap, so a generator whose
+        # shifted degree passes it is refused unexpanded
+        ideal = write(tmp_path, "huge.ideal", "t^2\n(1+t)^100000\n")
+        start = time.perf_counter()
+        assert main(["analyze", str(REPO / "branches" / "cusp.branch"), "--json",
+                     "--ideal", ideal]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {ideal}:2: generator degree 100000 is above 4096: "
+                                "after the shift 0 it passes the cap 4096 (at position 6)\n")
+
+    @pytest.mark.parametrize("shift, degree, refused", [
+        (4, 4100, False), (3, 4100, True), (-3, 4096, False), (-3, 4097, True)])
+    def test_ideal_degree_cap_reads_the_shift(self, tmp_path, shift, degree, refused):
+        # the limit is the cap plus a nonnegative shift, read even after the
+        # generators; a negative shift leaves it at the cap
+        path = write(tmp_path, "i.ideal", f"t^{degree}\nshift: {shift}\n")
+        try:
+            read_ideal_file(path, 4096)
+        except TruncationExhausted as exc:
+            assert refused and str(exc).startswith(f"{path}:1: generator degree {degree} is above")
+        else:
+            assert not refused
+
     @pytest.mark.parametrize("value", ["-5", "0"])
     def test_truncation_below_one_is_input_error(self, plane49_file, capsys, value):
         # doubling a negative N never reaches the cap, and 0 is not the default
@@ -254,6 +280,23 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "results withheld" in captured.err and "doubling verification" in captured.err
+
+    @pytest.mark.parametrize("perturb, message", [
+        # the top level c - vmin, where t^(c - vmin) always multiplies D into R
+        (lambda levels: levels[:-1], "outside v(R)"),
+        # a level below the top that plane49's D leaves out: on a Gorenstein
+        # ring the scan must find a multiplier at every level of the bound
+        (lambda levels: sorted(levels + [min(set(range(levels[0], levels[-1])) - set(levels))]),
+         "Gorenstein ring, but the inverse misses"),
+    ], ids=["level-outside-bound", "level-missed"])
+    def test_inverse_level_mismatch_exits_4(self, plane49_file, capsys, monkeypatch,
+                                            perturb, message):
+        levels = branchinv.ideals._multiplier_levels
+        monkeypatch.setattr(branchinv.ideals, "_multiplier_levels", lambda I: perturb(levels(I)))
+        assert main(["analyze", plane49_file, "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "results withheld" in captured.err and message in captured.err
 
     def test_ideal_inverted_once(self, capsys, monkeypatch):
         # inverse(I) is kept on I, so trace, h_invariant and realizes_itself

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import branchinv.ideals
 from branchinv.branch import m_power_basis
 from branchinv.cli import _ideal_section, read_ideal_file
-from branchinv.echelon import close_under, quotient_dim
+from branchinv.echelon import _Builder, close_under, quotient_dim
 from branchinv.errors import (
     InsufficientTruncation,
     NotAnIntegralIdeal,
@@ -18,6 +19,7 @@ from branchinv.errors import (
     RingMismatch,
 )
 from branchinv.ideals import (
+    _multiplier_levels,
     _reduction_columns,
     colength_in_normalization,
     conductor_ideal,
@@ -159,6 +161,7 @@ class TestTrace:
                 if any(terms.values()):
                     gens.append(TruncatedSeries.from_terms(terms))
         I = from_generators(ring, gens)
+        assert_levels_within_value_bound(I)
         tr, ref = trace(I), reference_trace(I)
         assert tr.vmin == ref.vmin
         assert tr.basis._rows == ref.basis._rows
@@ -271,6 +274,56 @@ class TestModuleInvariants:
             lam_tr = quotient_dim(ring.ring_basis, tr.basis)
             assert diff.h_omega >= lam_tr
             assert lam_tr >= h_invariant(tr)
+
+
+def value_bound_levels(I):
+    """The levels z with z + v(I) inside v(R), from I's pivots and R's gaps."""
+    c, gaps = I.ring.conductor_c, set(I.ring.gaps)
+    values = [v for v in I.basis.pivot_valuations if v < I.membership_bound]
+    return [z for z in range(-I.vmin, c - I.vmin + 1)
+            if all(z + v not in gaps for v in values)]
+
+
+def scan_levels(I):
+    """The levels at which the scan found a multiplier: the valuations of
+    inverse's generators up to c - vmin, past which it lists t powers."""
+    hi = I.ring.conductor_c - I.vmin
+    return [int(g.valuation()) for g in inverse(I).generators if g.valuation() <= hi]
+
+
+def assert_levels_within_value_bound(I):
+    """v(I^-1) lies among the levels z with z + v(I) inside v(R), and on a
+    Gorenstein ring fills them (Jaeger's duality), so v(I^-1) = m0."""
+    bound, levels = value_bound_levels(I), scan_levels(I)
+    assert _multiplier_levels(I) == bound
+    assert set(levels) <= set(bound)
+    assert bound[0] <= inverse(I).v_inverse == levels[0]
+    if I.ring.gorenstein:
+        assert levels == bound
+
+
+def reference_full_scan(I):
+    """inverse's elimination by the deleted route: every level from -vmin up,
+    not only from m0.  Returns v(I^-1), the realizer and the generators."""
+    ring, c = I.ring, I.ring.conductor_c
+    lo, hi = -I.vmin, c - I.vmin
+    cols = _reduction_columns(ring, I.generators, lo, hi)
+    aug = len(I.generators) * c
+    b = _Builder()
+    solutions = {}
+    for w in range(hi, lo - 1, -1):
+        num, den = cols[w]
+        num[aug + w - lo] = den
+        vec = b.reduce(num, 1)
+        if min(vec) < aug:
+            b.add(vec)
+        else:
+            scale = vec[aug + w - lo]
+            solutions[w] = TruncatedSeries.from_terms(
+                {k - aug + lo: Fraction(x, scale) for k, x in vec.items()})
+    gens = tuple(solutions[w] for w in sorted(solutions)) + tuple(
+        tp(hi + j) for j in range(1, max(c, 1)))
+    return min(solutions), solutions[min(solutions)], gens
 
 
 def reference_h(I):
@@ -400,6 +453,15 @@ class TestDeletedRoutes:
             self.assert_columns_agree(I, monkeypatch)
         for ring, _path, gens in random_ideal_files(corpus, tmp_path, 60, 81):
             self.assert_columns_agree(from_generators(ring, gens), monkeypatch)
+
+    def test_scan_stopped_at_value_bound_against_full_range(self, corpus, tmp_path):
+        # the scan stops at m0; the full range from -vmin finds nothing below
+        files = random_ideal_files(corpus, tmp_path, 60, 81)
+        for I in chain(scaled_derivative_modules(corpus, 8),
+                       (from_generators(ring, gens) for ring, _path, gens in files)):
+            inv = inverse(I)
+            assert (inv.v_inverse, inv.realizer, inv.generators) == reference_full_scan(I)
+            assert_levels_within_value_bound(I)
 
     def test_insufficient_truncation_at_same_shifts(self, corpus):
         # generators known only to t^T: both routes refuse exactly the scans

@@ -10,6 +10,7 @@ from branchinv.series import (
     INF,
     MAX_NESTING,
     TruncatedSeries,
+    _power,
     parse_poly,
     parse_series,
 )
@@ -143,6 +144,21 @@ class TestParser:
         assert parse_poly("(t^2+1)^2").terms() == conv_oracle(base, base)
         # an odd exponent with several bits exercises the squaring path
         assert parse_poly("(1+t)^37").terms() == {k: Fraction(comb(37, k)) for k in range(38)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool),
+           st.integers(0, 40), st.integers(0, 70))
+    def test_one_term_power_matches_squaring(self, a, d, k):
+        # the closed form a^k t^(d*k) against repeated squaring by products
+        base = TruncatedSeries.t_power(d, a)
+        out, f, n = TruncatedSeries.one(), base, k
+        while n:
+            if n & 1:
+                out = out * f
+            n >>= 1
+            f = f * f
+        assert _power(base, k) == out
+        assert parse_poly(f"({a.numerator}/{a.denominator}*t^{d})^{k}") == out
 
     def test_large_exponent_is_one_term(self):
         f = parse_poly("t^1000000")
