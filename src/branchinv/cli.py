@@ -20,9 +20,9 @@ Exit codes:
         generator, ``--truncation`` < 1
     3   no certified analysis fits under ``--max-truncation`` (default 4096);
         the cap holds for the first truncation, every retry (the last try is
-        the cap, or half of it when the doubling verification follows), the
-        truncation reported (the one the derivative module's report asks
-        for, where the ring is verified), the doubling verification and the
+        the cap, or half of it when the ring is verified), the truncation
+        reported (the one the derivative module's report asks for, where the
+        ring is verified), twice that truncation when it is verified, and the
         extent of an ``--ideal``'s closures, c + max(vmin, c) + e + 1.  A
         generator whose degree alone rules out every try is refused
         unexpanded: past (M - 16)/4 (the first truncation is 4*degree + 16),
@@ -240,7 +240,7 @@ def render_text(report: dict) -> str:
     lines.append("generators:")
     for g in report["generators"]:
         lines.append(f"    {g}")
-    stab = "verified by doubling" if report["stable"] else "not verified (--no-verify)"
+    stab = "verified by closure certificate" if report["stable"] else "not verified (--no-verify)"
     lines.append(f"truncation: t^{report['truncation']} ({stab})")
     lines.append(f"embedding dimension n = {report['n']}, order s = {report['s']}")
     lines.append(f"value semigroup gaps: {report['gaps']}  (delta = {report['delta']})")
@@ -335,7 +335,7 @@ def _ideal_section(ring: RingData, path: str, max_truncation: int) -> dict:
 def cmd_analyze(args) -> int:
     try:
         # no try runs above the first truncation or the last retry, which
-        # leaves room for the doubling verification unless it is skipped
+        # keeps a verified run's 2N under the cap
         last = args.max_truncation if args.no_verify else args.max_truncation // 2
         spec = read_branch_file(args.path, args.max_truncation,
                                 None if args.truncation is None else max(args.truncation, last))
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--json", action="store_true", help="machine-readable report")
     pa.add_argument("--truncation", type=int, default=None, metavar="N")
     pa.add_argument("--max-truncation", type=int, default=4096, metavar="M")
-    pa.add_argument("--no-verify", action="store_true", help="skip the doubling check")
+    pa.add_argument("--no-verify", action="store_true", help="skip the closure certificate")
     pa.add_argument("--ideal", default=None, metavar="PATH",
                     help="also analyze a user-supplied fractional ideal")
     pa.set_defaults(func=cmd_analyze)

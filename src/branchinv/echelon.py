@@ -26,6 +26,10 @@ that run, closed under +e, puts every valuation >= T in the value set, so
 t^T k[[t]] lies in the module and the rows below T are exact at every
 truncation.  Without the run the claimed tail is refused.
 
+A basis with a tail can be checked for closure without a fixpoint:
+:func:`closure_defect` multiplies each stored row by each multiplier once
+and reduces the product, cut below the tail, against the rows.
+
 Rows are stored internally as primitive integer vectors (sparse dicts) and
 exposed as monic rational series; exact Fraction arithmetic per element is an
 order of magnitude too slow at the sizes the closure visits.
@@ -342,6 +346,37 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
                 f"valuation {v} missing from the claimed tail run [{tail_from}, {N})"
             )
     return EchelonBasis(N, b.rows, tail_from)
+
+
+def closure_defect(basis: EchelonBasis,
+                   multipliers: Sequence[TruncatedSeries]) -> tuple[int, int] | None:
+    """The first (row pivot, multiplier index) whose product leaves the span,
+    or None when the span is closed under every multiplier.
+
+    The span is V = span(stored rows) + t^T k[[t]], T the certified tail, so
+    a product is cut below T and reduced against the stored rows; a zero
+    remainder puts it in V whatever the rows are.  With 1 in V and None
+    returned, V holds every polynomial in the multipliers, hence, as they
+    have valuation >= 1, the ring they generate: the closure's work
+    certified in one pass, no fixpoint.
+    """
+    if basis.tail_from is None:
+        raise UncertifiedTail("a closure certificate needs a certified tail")
+    T = basis.tail_from
+    mults = [_vec_from_series(m, T) for m in multipliers]
+    for v in sorted(basis._rows):
+        row = basis._rows[v]
+        for i, (mnum, mden) in enumerate(mults):
+            prod: dict[int, int] = {}
+            for e1, a in row.items():
+                for e2, c in mnum.items():
+                    e = e1 + e2
+                    if e < T:
+                        prod[e] = prod.get(e, 0) + a * c
+            num, _ = _reduce_vec(prod, mden, basis._rows)
+            if any(num.values()):
+                return v, i
+    return None
 
 
 def quotient_dim(big: EchelonBasis, small: EchelonBasis) -> int:

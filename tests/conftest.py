@@ -11,25 +11,41 @@ from branchinv.echelon import EchelonBasis
 
 
 def perturb_verification(monkeypatch):
-    """Make the second `_analyze_at` of a run, the doubling check's, return
-    its basis with one coefficient of one row changed."""
+    """Make the closure certificate of a run see the ring's basis with one
+    coefficient of one stored row changed, at a gap key."""
     import branchinv.branch
 
-    analyze_at = branchinv.branch._analyze_at
-    calls = []
+    certify = branchinv.branch._certify_closure
 
-    def perturbed(spec, gens, N):
-        basis = analyze_at(spec, gens, N)
-        calls.append(N)
-        if len(calls) == 1:
-            return basis
-        rows = dict(basis._rows)
+    def perturbed(basis, gens):
+        rows = basis._rows
         v = min(v for v, row in rows.items() if len(row) > 1)
-        k = max(rows[v])
-        rows[v] = {**rows[v], k: rows[v][k] + 1}
-        return EchelonBasis(basis.truncation, rows, basis.tail_from)
+        k = max(rows[v])  # a key of a fully reduced row past its pivot is a gap
+        return certify(change_coefficient(basis, v, k, 1), gens)
 
-    monkeypatch.setattr(branchinv.branch, "_analyze_at", perturbed)
+    monkeypatch.setattr(branchinv.branch, "_certify_closure", perturbed)
+
+
+def record_certificates(monkeypatch):
+    """The truncations of the bases the closure certificate checks, in order."""
+    import branchinv.branch
+
+    certified = []
+    certify = branchinv.branch._certify_closure
+
+    def recording(basis, gens):
+        certified.append(basis.truncation)
+        return certify(basis, gens)
+
+    monkeypatch.setattr(branchinv.branch, "_certify_closure", recording)
+    return certified
+
+
+def change_coefficient(basis, v, k, delta):
+    """The basis with `delta` added to the coefficient at key k of its row v."""
+    row = basis._rows[v]
+    rows = {**basis._rows, v: {**row, k: row.get(k, 0) + delta}}
+    return EchelonBasis(basis.truncation, rows, basis.tail_from)
 
 
 def at(basis, truncation):
@@ -109,6 +125,22 @@ def random_primitive_tuples(count, rng, n_max=5, a_max=40):
         if g != 1:
             continue
         out.append(tuple(dict.fromkeys(gens)))
+    return out
+
+
+def random_branch_texts(count, rng):
+    """Deterministic stream of non-monomial branches: each generator t^a of a
+    primitive tuple gains a term k*t^(a+j) with probability 1/2."""
+    out = []
+    for gens in random_primitive_tuples(count, rng, n_max=3, a_max=12):
+        texts = []
+        for a in gens:
+            text = f"t^{a}"
+            if rng.random() < 0.5:
+                k = rng.choice([-3, -1, 1, 2])
+                text += f" {'+' if k > 0 else '-'} {abs(k)}*t^{a + rng.randint(1, 3)}"
+            texts.append(text)
+        out.append(texts)
     return out
 
 

@@ -1,5 +1,6 @@
 import random
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from branchinv.branch import (
     m_power_basis,
     order_s,
 )
+from branchinv.cli import read_branch_file, required_truncation
 from branchinv.echelon import close_under, quotient_dim
 from branchinv.errors import (
     ImprimitiveParametrization,
@@ -24,7 +26,9 @@ from branchinv.errors import (
 from branchinv.ideals import from_generators
 from branchinv.semigroup import sieve
 from branchinv.series import TruncatedSeries, monomials
-from conftest import perturb_verification
+from conftest import perturb_verification, random_branch_texts, record_certificates
+
+BRANCHES = Path(__file__).resolve().parents[1] / "branches"
 
 
 def full_ladder_order(ring):
@@ -283,7 +287,7 @@ class TestStability:
 
     def test_room_moves_before_verifying(self, monkeypatch):
         # 64 certifies the ring; room asks for 89, so the ring is reported
-        # there with the same rows, and only that ring is verified, at 178
+        # there with the same rows, and only that ring is verified
         tried = []
         analyze_at = branch_module._analyze_at
 
@@ -292,8 +296,9 @@ class TestStability:
             return analyze_at(spec, gens, N)
 
         monkeypatch.setattr(branch_module, "_analyze_at", recording)
+        certified = record_certificates(monkeypatch)
         ring = analyze(BranchSpec.from_strings(["t^4+t^5", "t^9"]), room=lambda ring: 89)
-        assert tried == [64, 178]
+        assert tried == [64] and certified == [89]
         assert ring.truncation == 89 and ring.stable is True
 
     def test_verification_honours_cap(self):
@@ -366,15 +371,15 @@ class TestStability:
                 == len(full[0]) - len(full["t^c D"]) == d.lambda_tcD
 
     def test_verification_compares_the_basis(self, monkeypatch):
-        # one coefficient of one row of the 2N basis changed, with the gaps
-        # unchanged, fails the check
+        # one coefficient of one row of the certified basis changed, with the
+        # gaps unchanged, fails the check
         perturb_verification(monkeypatch)
-        with pytest.raises(InternalInconsistency, match="doubling verification"):
+        with pytest.raises(InternalInconsistency, match="closure certificate failed"):
             analyze(BranchSpec.from_strings(["t^4+t^5", "t^9"]))
 
-    def test_verification_closes_only_the_ring(self, monkeypatch):
-        # n and s are functions of the certified rows, so the check at 2N
-        # closes the ring and nothing else
+    def test_verification_runs_no_closure(self, monkeypatch):
+        # n and s are functions of the certified rows, and the certificate
+        # reduces products against them, so the check closes nothing
         events = []
 
         def spy(name):
@@ -386,12 +391,26 @@ class TestStability:
 
             return wrapped
 
-        for name in ("_analyze_at", "close_under", "m_power_basis"):
+        for name in ("_analyze_at", "close_under", "m_power_basis", "_certify_closure"):
             monkeypatch.setattr(branch_module, name, spy(name))
         ring = analyze(BranchSpec.from_strings(["t^3", "t^4", "t^5"]))
-        start = events.index(("_analyze_at", 2 * ring.truncation))
+        start = events.index("_certify_closure")
         assert "m_power_basis" in events[:start]
-        assert events[start + 1:] == ["close_under"]
+        assert events[start + 1:] == []
+        assert [event for event in events if isinstance(event, tuple)] \
+            == [("_analyze_at", ring.truncation)]
+
+    def test_certified_rows_against_doubled_closure(self):
+        # the deleted 2N re-closure is the oracle: at twice the truncation the
+        # CLI reports, the ring closes to exactly the certified rows and tail
+        specs = [read_branch_file(str(p)) for p in sorted(BRANCHES.glob("*.branch"))]
+        specs += [BranchSpec.from_strings(texts, name=" ".join(texts))
+                  for texts in random_branch_texts(30, random.Random(20261018))]
+        for spec in specs:
+            ring = analyze(spec, room=required_truncation)
+            double = branch_module._analyze_at(spec, ring.generators, 2 * ring.truncation)
+            assert (double._rows, double.tail_from) \
+                == (ring.ring_basis._rows, ring.conductor_c), ring.name
 
     def test_truncation_cap_respected(self):
         # <39, 40> has conductor 38*39 = 1482; a tiny cap cannot certify it

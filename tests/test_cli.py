@@ -4,13 +4,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import branchinv.branch
 import branchinv.cli
 import branchinv.ideals
 from branchinv.cli import main, read_branch_file, read_ideal_file
 from branchinv.errors import InternalInconsistency, TruncationExhausted
-from conftest import perturb_verification
+from branchinv.series import TruncatedSeries
+from conftest import change_coefficient, perturb_verification, record_certificates
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -240,11 +243,12 @@ class TestAnalyzeCommand:
 
     def test_one_verification_per_run(self, plane49_file, capsys, monkeypatch):
         # 64 certifies the ring, which is reported at the 89 that the CLI
-        # asks for, with the same rows; only that ring is verified, at 178
+        # asks for, with the same rows; only that ring is verified
         tried = record_tries(monkeypatch)
+        certified = record_certificates(monkeypatch)
         assert main(["analyze", plane49_file, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["truncation"] == 89
-        assert tried == [64, 178]
+        assert tried == [64] and certified == [89]
 
     def test_verified_run_never_tries_the_cap(self, tmp_path, capsys, monkeypatch):
         # <38,41> needs N > 2962; with the 2N check to follow, the retries stop
@@ -279,7 +283,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", plane49_file, "--json"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "results withheld" in captured.err and "doubling verification" in captured.err
+        assert "results withheld" in captured.err and "closure certificate failed" in captured.err
 
     @pytest.mark.parametrize("perturb, message", [
         # the top level c - vmin, where t^(c - vmin) always multiplies D into R
@@ -431,6 +435,55 @@ class TestAnalyzeCommand:
         assert captured.out == ""
         assert captured.err == (
             "error: ideal with vmin 5002 needs truncation 5007, above the cap 4096\n")
+
+
+@pytest.fixture(scope="module")
+def certified_branches(tmp_path_factory):
+    """(branch file, its certified ring) for a few small branches."""
+    out = []
+    for texts in (["t^4+t^5", "t^9"], ["t^3", "t^4", "t^5"], ["t^4", "t^6+t^7"],
+                  ["t^6", "t^9+t^10", "t^11"], ["t^4+t^7", "t^5", "t^11"], ["t^5", "t^6", "t^14"]):
+        path = tmp_path_factory.mktemp("certified") / "b.branch"
+        path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        spec = read_branch_file(str(path))
+        out.append((str(path), branchinv.branch.analyze(spec, room=branchinv.cli.required_truncation)))
+    return out
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_certificate_rejects_one_changed_coefficient(certified_branches, capsys, data):
+    # a change at a gap key of a stored row, or of a generator, leaves V with
+    # the same pivots; V would then be R, and the gap a value of R, so the
+    # certificate must fail and the run exit 4
+    path, ring = data.draw(st.sampled_from(certified_branches), label="branch")
+    delta = data.draw(st.sampled_from([1, -1, 2, -7]), label="delta")
+    gaps = ring.gaps
+    if data.draw(st.booleans(), label="change a row"):
+        v = data.draw(st.sampled_from([v for v in ring.ring_basis._rows if v < gaps[-1]]),
+                      label="row")
+        k = data.draw(st.sampled_from([g for g in gaps if g > v]), label="gap")
+
+        def change(basis, gens):
+            return change_coefficient(basis, v, k, delta), gens
+    else:
+        i = data.draw(st.integers(0, len(ring.generators) - 1), label="generator")
+        k = data.draw(st.sampled_from(gaps), label="gap")
+
+        def change(basis, gens):
+            gens = list(gens)
+            gens[i] = gens[i] + TruncatedSeries.t_power(k, delta)
+            return basis, tuple(gens)
+
+    certify = branchinv.branch._certify_closure
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(branchinv.branch, "_certify_closure",
+                   lambda basis, gens: certify(*change(basis, gens)))
+        assert main(["analyze", path, "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "results withheld" in captured.err and "closure certificate failed" in captured.err
 
 
 class TestSemigroupCommand:
