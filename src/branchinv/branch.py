@@ -18,28 +18,27 @@ N, since its tail c is what the analysis certifies; the certified basis then
 keeps only its rows below c, as m keeps those of R.
 
 None of those stored rows depends on N.  So truncations double from the
-first (the last try is the largest worth one) only until the conductor
-certifies; n and s are then found once, and the rest of the doubling
-sequence is arithmetic.  N has room when c + (s+2)*e < N (c + 2*e < N for
-n = 1), the room of every m^d closure of the full ladder, so the truncation
-reported does not depend on which route found s; a try without room names
-m^d for the least d >= 2 with c + d*e >= N.  The ring is reported at the
-first N with room, or at the room its caller names, with the same rows.
+first, up to the cap, only until the conductor certifies; n and s are then
+found once, and the rest of the doubling sequence is arithmetic.  N has room
+when c + (s+2)*e < N (c + 2*e < N for n = 1), the room of every m^d closure
+of the full ladder, so the truncation returned does not depend on which
+route found s; a try without room names m^d for the least d >= 2 with
+c + d*e >= N.  The ring is returned at the first N with room.
 Every invariant is read off the certified rows, so `analyze` checks them, on
 request and once, by a closure certificate: V = span(rows below c) +
 t^c k[[t]] must hold 1, and each row times each generator, cut below c, must
 reduce to zero against the rows.  Then V is closed under the generators, so
 R lies in V; the closure's rows lie in R, so V = R.  That is n*(rows below
-c) products and no second closure.  A verified run still keeps 2N under the
-cap, as the doubling check it replaced did, so the truncations tried and
-reported and the exit-3 texts are those the doubling check gave.
+c) products and no second closure.  The certificate runs no closure and
+reads no truncation, so a verified and an unverified run try the same
+truncations and return the same ring; only `stable` differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .echelon import EchelonBasis, close_under, closure_defect, quotient_dim
 from .errors import (
@@ -226,23 +225,21 @@ def _analyze_at(spec: BranchSpec, gens: tuple[TruncatedSeries, ...], N: int) -> 
     return basis.with_tail(c)
 
 
-def _next_try(N: int, limit: int, max_truncation: int, err: type, reason: str) -> int:
-    """The truncation after N in the doubling sequence, whose last try is `limit`."""
-    if N >= limit:
+def _next_try(N: int, max_truncation: int, err: type, reason: str) -> int:
+    """The truncation after N in the doubling sequence, whose last try is the cap."""
+    if N >= max_truncation:
         raise err(f"no stable analysis below truncation {max_truncation} ({reason})")
-    return min(2 * N, limit)
+    return min(2 * N, max_truncation)
 
 
 def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
             verify_stability: bool = True,
-            max_truncation: int = DEFAULT_MAX_TRUNCATION,
-            room: Callable[[RingData], int] | None = None) -> RingData:
-    """Full branch analysis with certified conductor and an optional closure
-    certificate of the reported basis.
-
-    `room` maps a certified ring to the truncation that later work on it
-    needs (the CLI passes `cli.required_truncation`).  A ring short of it is
-    reported there, with the same rows, and verified there.
+            max_truncation: int = DEFAULT_MAX_TRUNCATION) -> RingData:
+    """Full branch analysis with certified conductor, at the first truncation
+    of the doubling sequence with room, and an optional closure certificate
+    of its basis.  `verify_stability` decides only whether the certificate
+    runs: the truncations tried, the ring returned and the errors raised are
+    the same either way.
     """
     if initial_truncation is not None and initial_truncation < 1:
         raise BranchInvError(f"initial truncation {initial_truncation} is below 1")
@@ -252,8 +249,6 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
     N = initial_truncation if initial_truncation is not None else max(64, 4 * maxdeg + 16)
     if N > max_truncation:
         raise TruncationExhausted(f"truncation {N} is above the cap {max_truncation}")
-    # the largest truncation worth a try: a verified ring needs its 2N under the cap
-    limit = max_truncation // 2 if verify_stability else max_truncation
 
     gcd_seen = 0
     while True:
@@ -273,7 +268,7 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
                     N *= 2
                     continue
                 reason = str(exc)
-        N = _next_try(N, limit, max_truncation, TruncationExhausted, reason)
+        N = _next_try(N, max_truncation, TruncationExhausted, reason)
 
     c = basis.tail_from
     gaps = basis.gaps_below(c)
@@ -306,18 +301,12 @@ def analyze(spec: BranchSpec, *, initial_truncation: int | None = None,
     top = 2 if ring.order_s is None else ring.order_s + 2
     while c + top * e >= N:
         d = max(2, -(-(N - c) // e))  # the least d >= 2 with c + d*e >= N
-        N = _next_try(N, limit, max_truncation, OrderUndetectable,
+        N = _next_try(N, max_truncation, OrderUndetectable,
                       f"m^{d} needs truncation above {c + d * e}")
 
-    needed = max(N, room(ring)) if room is not None else N
+    ring.truncation = N
+    ring.ring_basis = EchelonBasis(N, basis._rows, c)
     if verify_stability:
-        _doubled_truncation(N, max_truncation)  # this ring's 2N is checked first
-    if needed > max_truncation:
-        raise TruncationExhausted(f"truncation {needed} is above the cap {max_truncation}")
-    ring.truncation = needed
-    ring.ring_basis = EchelonBasis(needed, basis._rows, c)
-    if verify_stability:
-        _doubled_truncation(needed, max_truncation)  # the cap the 2N check had
         _certify_closure(ring.ring_basis, gens)
         ring.stable = True
     return ring
@@ -339,12 +328,3 @@ def _certify_closure(basis: EchelonBasis, gens: tuple[TruncatedSeries, ...]) -> 
             f"{i + 1} ({gens[i]}) leaves the ring span below the conductor {c}"
         )
 
-
-def _doubled_truncation(N: int, max_truncation: int) -> int:
-    """The truncation 2N that a verified run keeps under the cap; raises when
-    it passes the cap."""
-    if 2 * N > max_truncation:
-        raise TruncationExhausted(
-            f"doubling verification needs truncation {2 * N}, above the cap {max_truncation}"
-        )
-    return 2 * N

@@ -20,14 +20,12 @@ Exit codes:
         generator, ``--truncation`` < 1
     3   no certified analysis fits under ``--max-truncation`` (default 4096);
         the cap holds for the first truncation, every retry (the last try is
-        the cap, or half of it when the ring is verified), the truncation
-        reported (the one the derivative module's report asks for, where the
-        ring is verified), twice that truncation when it is verified, and the
-        extent of an ``--ideal``'s closures, c + max(vmin, c) + e + 1.  A
-        generator whose degree alone rules out every try is refused
-        unexpanded: past (M - 16)/4 (the first truncation is 4*degree + 16),
-        or, with ``--truncation T``, past the largest truncation tried less 2
-        (the larger of T and the last retry, at most M).  An ``--ideal``
+        the cap, with or without ``--no-verify``), the truncation reported
+        (the one the derivative module's report asks for), and the extent of
+        an ``--ideal``'s closures, c + max(vmin, c) + e + 1.  A generator of
+        degree past (M - 16)/4, where the default first truncation
+        4*degree + 16 passes the cap, is refused unexpanded, whatever
+        ``--truncation`` and ``--no-verify`` say.  An ``--ideal``
         generator of degree past M + k, under ``shift: k`` with k >= 0, or
         past M, with k < 0, is refused unexpanded as well: no ideal closure
         reads at or past M
@@ -44,7 +42,7 @@ from fractions import Fraction
 
 from . import __version__
 from .berger import RULES, Verdict, verdict
-from .branch import BranchSpec, RingData, analyze
+from .branch import DEFAULT_MAX_TRUNCATION, BranchSpec, RingData, analyze
 from .differentials import DifferentialData, compute
 from .errors import (
     BranchInvError,
@@ -70,19 +68,16 @@ def _read_lines(path: str):
         return fh.read().splitlines()
 
 
-def read_branch_file(path: str, max_truncation: int | None = None,
-                     truncation: int | None = None) -> BranchSpec:
+def read_branch_file(path: str, max_truncation: int | None = None) -> BranchSpec:
     """The branch in a file.
 
-    Under a truncation cap, a generator whose degree alone rules out every
-    truncation a run may try is refused before it is expanded.  Without
-    `truncation` the first try is 4*degree + 16.  Given, `truncation` is the
-    largest truncation the run tries, and a try needs degree + 2 at least.
+    Under a truncation cap, a generator of degree past (cap - 16)/4, whose
+    default first truncation 4*degree + 16 passes the cap, is refused before
+    it is expanded.  The limit holds whatever truncation a run starts from,
+    so that no dense generator near the cap is expanded and then closed at
+    the cap.
     """
-    max_degree = None
-    if max_truncation is not None:
-        top = max_truncation if truncation is None else min(truncation, max_truncation)
-        max_degree = (top - 16) // 4 if truncation is None else top - 2
+    max_degree = None if max_truncation is None else (max_truncation - 16) // 4
     name = None
     exprs = []
     for lineno, raw in enumerate(_read_lines(path), start=1):
@@ -98,12 +93,10 @@ def read_branch_file(path: str, max_truncation: int | None = None,
             exc.args = (f"{path}:{lineno}: {exc}",)  # its text ends in the position
             raise
         except DegreeLimitExceeded as exc:
-            need = exc.degree + 2 if truncation is not None else 4 * exc.degree + 16
-            bound = (f"the cap {max_truncation}" if need > max_truncation
-                     else f"the largest truncation tried, {top}")
             raise TruncationExhausted(
                 f"{path}:{lineno}: generator degree {exc.degree} needs truncation at least "
-                f"{need}, above {bound} (at position {exc.position})"
+                f"{4 * exc.degree + 16}, above the cap {max_truncation} "
+                f"(at position {exc.position})"
             ) from None
     if not exprs:
         raise BranchInvError(f"{path}: no generator lines found")
@@ -188,12 +181,12 @@ def _bounds_json(bounds: dict) -> dict:
     return out
 
 
-def build_report(diff: DifferentialData, vd: Verdict,
+def build_report(diff: DifferentialData, vd: Verdict, truncation: int,
                  ideal_section: dict | None = None) -> dict:
     report = {
         "name": diff.ring.name,
         "generators": [str(g) for g in diff.ring.spec.generators],
-        "truncation": diff.ring.truncation,
+        "truncation": truncation,
         "stable": diff.ring.stable,
         "n": diff.ring.embdim_n,
         "s": diff.ring.order_s,
@@ -292,15 +285,16 @@ def render_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-# The truncation the CLI reports and verifies at, which tests/golden/ pins:
-# keep it as is.  No computation reads it.
+# The truncation the report prints, which tests/golden/ pins: keep it as is.
+# No computation reads it; the ring is analyzed and verified at its own
+# truncation, which is never larger.
 def required_truncation(ring: RingData) -> int:
     c = ring.conductor_c
     maxdeg = ring.spec.max_degree()
     need = 2 * c + maxdeg + 32
     if ring.order_s is not None:
         need = max(need, c + (ring.order_s + 2) * ring.multiplicity + maxdeg + 2)
-    return need
+    return max(ring.truncation, need)
 
 
 def _ideal_section(ring: RingData, path: str, max_truncation: int) -> dict:
@@ -334,18 +328,17 @@ def _ideal_section(ring: RingData, path: str, max_truncation: int) -> dict:
 
 def cmd_analyze(args) -> int:
     try:
-        # no try runs above the first truncation or the last retry, which
-        # keeps a verified run's 2N under the cap
-        last = args.max_truncation if args.no_verify else args.max_truncation // 2
-        spec = read_branch_file(args.path, args.max_truncation,
-                                None if args.truncation is None else max(args.truncation, last))
+        spec = read_branch_file(args.path, args.max_truncation)
         ring = analyze(
             spec,
             initial_truncation=args.truncation,
             verify_stability=not args.no_verify,
             max_truncation=args.max_truncation,
-            room=required_truncation,
         )
+        truncation = required_truncation(ring)
+        if truncation > args.max_truncation:
+            raise TruncationExhausted(
+                f"truncation {truncation} is above the cap {args.max_truncation}")
         diff = compute(ring)
         vd = verdict(diff)
         ideal_section = (_ideal_section(diff.ring, args.ideal, args.max_truncation)
@@ -359,7 +352,7 @@ def cmd_analyze(args) -> int:
     except (BranchInvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = build_report(diff, vd, ideal_section)
+    report = build_report(diff, vd, truncation, ideal_section)
     print(render_json(report) if args.json else render_text(report))
     return 0
 
@@ -401,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("path")
     pa.add_argument("--json", action="store_true", help="machine-readable report")
     pa.add_argument("--truncation", type=int, default=None, metavar="N")
-    pa.add_argument("--max-truncation", type=int, default=4096, metavar="M")
+    pa.add_argument("--max-truncation", type=int, default=DEFAULT_MAX_TRUNCATION, metavar="M")
     pa.add_argument("--no-verify", action="store_true", help="skip the closure certificate")
     pa.add_argument("--ideal", default=None, metavar="PATH",
                     help="also analyze a user-supplied fractional ideal")

@@ -26,7 +26,7 @@ from branchinv.errors import (
 from branchinv.ideals import from_generators
 from branchinv.semigroup import sieve
 from branchinv.series import TruncatedSeries, monomials
-from conftest import perturb_verification, random_branch_texts, record_certificates
+from conftest import perturb_verification, random_branch_texts, random_primitive_tuples
 
 BRANCHES = Path(__file__).resolve().parents[1] / "branches"
 
@@ -79,25 +79,20 @@ def _closed_at(exps, N):
         d += 1
 
 
-def reference_truncation(exps, verify=True, cap=4096):
-    """The truncation `analyze` reports for <exps>, with its invariants, or
-    its exit-3 text, from closures at every N of the doubling sequence: the
-    reference for the truncation plan, which closes the ring only until the
-    conductor certifies and finds n and s once."""
+def reference_truncation(exps, cap=4096):
+    """The truncation `analyze` returns for <exps>, with its invariants, or
+    its exit-3 text, from closures at every N of the doubling sequence up to
+    the cap: the reference for the truncation plan, which closes the ring
+    only until the conductor certifies and finds n and s once.  Verified or
+    not, a run follows this one plan."""
     N = max(64, 4 * max(exps) + 16)
-    limit = cap // 2 if verify else cap
     while True:
         found = _closed_at(exps, N)
         if not isinstance(found, str):
-            break
-        if N >= limit:
+            return N, found
+        if N >= cap:
             return f"no stable analysis below truncation {cap} ({found})"
-        N = min(2 * N, limit)
-    if verify:
-        if 2 * N > cap:
-            return f"doubling verification needs truncation {2 * N}, above the cap {cap}"
-        assert _closed_at(exps, 2 * N) == found
-    return N, found
+        N = min(2 * N, cap)
 
 
 def _analyzed(exps, verify=True, cap=4096):
@@ -285,32 +280,26 @@ class TestStability:
         assert ring.stable is False
         assert ring.gaps == (1,)
 
-    def test_room_moves_before_verifying(self, monkeypatch):
-        # 64 certifies the ring; room asks for 89, so the ring is reported
-        # there with the same rows, and only that ring is verified
-        tried = []
-        analyze_at = branch_module._analyze_at
-
-        def recording(spec, gens, N):
-            tried.append(N)
-            return analyze_at(spec, gens, N)
-
-        monkeypatch.setattr(branch_module, "_analyze_at", recording)
-        certified = record_certificates(monkeypatch)
-        ring = analyze(BranchSpec.from_strings(["t^4+t^5", "t^9"]), room=lambda ring: 89)
-        assert tried == [64] and certified == [89]
-        assert ring.truncation == 89 and ring.stable is True
-
     def test_verification_honours_cap(self):
-        with pytest.raises(TruncationExhausted, match="needs truncation 128"):
-            analyze(BranchSpec.from_strings(["t^4+t^5", "t^9"]), max_truncation=100)
+        # plane49 certifies at 64, with room; the certificate reads no
+        # truncation, so a cap of 64 suffices, and one below 64 refuses the
+        # first try whether or not the ring is verified
+        spec = BranchSpec.from_strings(["t^4+t^5", "t^9"])
+        ring = analyze(spec, max_truncation=64)
+        assert ring.truncation == 64 and ring.stable is True
+        for verify in (True, False):
+            with pytest.raises(TruncationExhausted, match="^truncation 64 is above the cap 63$"):
+                analyze(spec, verify_stability=verify, max_truncation=63)
 
-    def test_verified_retries_stop_at_half_the_cap(self):
-        # <30,31> needs N > 870 + 31*30 = 1800; 1120 doubles past 2048, half
-        # the cap, so 2048 is tried last and its check at 4096 fits
-        ring = analyze(BranchSpec.from_strings(["t^30", "t^31"]))
-        assert ring.truncation == 2048 and ring.stable is True
+    def test_verified_retries_pass_half_the_cap(self):
+        # <30,31> certifies c = 870 at 1120 but needs N > 870 + 31*30 = 1800
+        # for room; the next doubling, 2240, passes half the cap and is
+        # taken, as in a run without verification
+        spec = BranchSpec.from_strings(["t^30", "t^31"])
+        ring = analyze(spec)
+        assert ring.truncation == 2240 and ring.stable is True
         assert ring.gaps == sieve((30, 31)).gaps
+        assert analyze(spec, verify_stability=False).truncation == 2240
 
     # Doubling from 2880 passes the cap 4096; the cap itself is then tried.
     @pytest.mark.parametrize("pair", [(38, 41), (40, 43), (41, 44), (37, 38), (37, 39),
@@ -327,25 +316,26 @@ class TestStability:
 
     def test_unverified_pairs_against_reference(self):
         for pair in _primitive_pairs(40):
-            assert _analyzed(pair, verify=False) == reference_truncation(pair, verify=False), pair
+            assert _analyzed(pair, verify=False) == reference_truncation(pair), pair
 
     @pytest.mark.parametrize("verify, cap", [(True, 4096), (True, 1024), (False, 1024)])
     def test_pairs_against_reference(self, verify, cap):
         for pair in _primitive_pairs(20):
-            assert _analyzed(pair, verify, cap) == reference_truncation(pair, verify, cap), pair
+            assert _analyzed(pair, verify, cap) == reference_truncation(pair, cap), pair
 
     def test_self_sized_closures_equal_uncut_closures(self, corpus):
         # every closure but the ring's stops at its a-priori tail plus e,
-        # whatever the ring's truncation N; the uncut closure at N, cut below
-        # the tail, has the same rows and tail, and quotient_dim counts what
-        # the uncut closures' pivots count at N
+        # whatever the ring's truncation; the uncut closure at the N the CLI
+        # reports, cut below the tail, has the same rows and tail, and
+        # quotient_dim counts what the uncut closures' pivots count at N
         def assert_same(tailed, full, name):
             cut = full.with_tail(tailed.tail_from)
             assert (tailed._rows, tailed.tail_from) == (cut._rows, cut.tail_from), name
 
         for d in corpus:
             ring = d.ring
-            N, c, e, gens = ring.truncation, ring.conductor_c, ring.multiplicity, ring.generators
+            N, c, e, gens = (required_truncation(ring), ring.conductor_c, ring.multiplicity,
+                             ring.generators)
             full = {0: close_under([TruncatedSeries.one()], gens, N)}
             assert_same(ring.ring_basis, full[0], (ring.name, 0))
             for k, basis in ring._mpow.items():
@@ -407,8 +397,8 @@ class TestStability:
         specs += [BranchSpec.from_strings(texts, name=" ".join(texts))
                   for texts in random_branch_texts(30, random.Random(20261018))]
         for spec in specs:
-            ring = analyze(spec, room=required_truncation)
-            double = branch_module._analyze_at(spec, ring.generators, 2 * ring.truncation)
+            ring = analyze(spec)
+            double = branch_module._analyze_at(spec, ring.generators, 2 * required_truncation(ring))
             assert (double._rows, double.tail_from) \
                 == (ring.ring_basis._rows, ring.conductor_c), ring.name
 
@@ -464,3 +454,28 @@ def test_analysis_matches_sieve_when_primitive(gens):
     data = sieve(sorted(gens))
     assert ring.gaps == data.gaps
     assert ring.conductor_c == data.conductor
+
+
+def _plan_outcome(spec, verify, cap):
+    try:
+        ring = analyze(spec, verify_stability=verify, max_truncation=cap)
+    except TruncationExhausted as exc:
+        return str(exc)
+    assert ring.stable is verify
+    return (ring.truncation, ring.gaps, ring.conductor_c, ring.embdim_n, ring.order_s,
+            ring.gorenstein)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), monomial=st.booleans(), cap=st.integers(64, 1024))
+def test_verification_leaves_the_plan_alone(seed, monomial, cap):
+    # the certificate is the only difference between a verified run and an
+    # unverified one: the same truncation and invariants, or the same exit-3
+    # text; caps up to 1024 put tries past half the cap
+    rng = random.Random(seed)
+    if monomial:
+        texts = [f"t^{a}" for a in random_primitive_tuples(1, rng, n_max=4, a_max=24)[0]]
+    else:
+        texts = random_branch_texts(1, rng)[0]
+    spec = BranchSpec.from_strings(texts)
+    assert _plan_outcome(spec, True, cap) == _plan_outcome(spec, False, cap), texts

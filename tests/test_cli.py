@@ -166,24 +166,24 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("generator, degree, flags, need", [
         ("(1+t)^3000-1", 3000, [], 12016),
         ("(t+t^2)^20000", 40000, [], 160016),
-        ("(t+t^2)^20000", 40000, ["--truncation", "100"], 40002),
-        ("(1+t)^3000-1", 3000, ["--truncation", "100"], 3002),
+        ("(t+t^2)^20000", 40000, ["--truncation", "100"], 160016),
+        ("(1+t)^3000-1", 3000, ["--truncation", "100"], 12016),
+        ("(t+t^2)^20000", 40000, ["--truncation", "100", "--no-verify"], 160016),
+        ("(1+t)^3000-1", 3000, ["--truncation", "100", "--no-verify"], 12016),
     ])
     def test_degree_cap_holds_before_expansion(self, tmp_path, capsys, generator, degree,
                                                flags, need):
-        # the first truncation 4*degree + 16 passes the cap, or, with
-        # --truncation, degree + 2 passes the largest truncation tried (2048,
-        # half the cap, as the verification follows), so the generator is
-        # refused before it is expanded
+        # the default first truncation 4*degree + 16 passes the cap, so the
+        # generator is refused before it is expanded, whatever --truncation
+        # and --no-verify say
         path = write(tmp_path, "huge.branch", f"t^2\n{generator}\n")
         start = time.perf_counter()
         assert main(["analyze", path, "--json"] + flags) == 3
         assert time.perf_counter() - start < 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        bound = "the cap 4096" if need > 4096 else "the largest truncation tried, 2048"
         assert (f":2: generator degree {degree} needs truncation at least {need}, "
-                f"above {bound}") in captured.err
+                f"above the cap 4096") in captured.err
 
     def test_ideal_degree_cap_holds_before_expansion(self, tmp_path, capsys):
         # no ideal closure reads at or past the cap, so a generator whose
@@ -220,9 +220,16 @@ class TestAnalyzeCommand:
         assert f"initial truncation {value} is below 1" in captured.err
 
     def test_cap_holds_for_verification(self, plane49_file, capsys):
-        # plane49 certifies at 64; the doubling check would need 128
-        assert main(["analyze", plane49_file, "--max-truncation", "100"]) == 3
-        assert "128" in capsys.readouterr().err
+        # plane49 certifies at 64, is verified there and reports 89: the
+        # certificate asks for no truncation of its own, and the reported
+        # one meets the cap after verification
+        assert main(["analyze", plane49_file, "--json", "--max-truncation", "89"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["truncation"] == 89 and report["stable"] is True
+        assert main(["analyze", plane49_file, "--json", "--max-truncation", "88"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: truncation 89 is above the cap 88\n"
 
     def test_internal_inconsistency_exit_code(self, plane49_file, capsys, monkeypatch):
         def broken(ring):
@@ -242,41 +249,44 @@ class TestAnalyzeCommand:
         assert "results withheld" in captured.err and "Gorenstein" in captured.err
 
     def test_one_verification_per_run(self, plane49_file, capsys, monkeypatch):
-        # 64 certifies the ring, which is reported at the 89 that the CLI
-        # asks for, with the same rows; only that ring is verified
+        # 64 certifies the ring, with room, and only that ring is verified;
+        # the report prints the 89 that the derivative module's report asks
+        # for, which no closure reads
         tried = record_tries(monkeypatch)
         certified = record_certificates(monkeypatch)
         assert main(["analyze", plane49_file, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["truncation"] == 89
-        assert tried == [64] and certified == [89]
+        report = json.loads(capsys.readouterr().out)
+        assert report["truncation"] == 89 and report["stable"] is True
+        assert tried == [64] and certified == [64]
 
     def test_verified_run_never_tries_the_cap(self, tmp_path, capsys, monkeypatch):
-        # <38,41> needs N > 2962; with the 2N check to follow, the retries stop
-        # at 2048, half the cap, instead of analysing at 2880 or 4096 in vain
+        # <38,41> certifies c = 1480 at 2880 but needs N > 1480 + 39*38 = 2962
+        # for room; the cap 4096 has it, and the move there is arithmetic, so
+        # no closure runs at the cap and the verified run reports 4096
         tried = record_tries(monkeypatch)
+        certified = record_certificates(monkeypatch)
         path = tmp_path / "p3841.branch"
         path.write_text("t^38\nt^41\n", encoding="utf-8")
-        assert main(["analyze", str(path), "--json"]) == 3
-        assert tried == [180, 360, 720, 1440, 2048]
-        err = capsys.readouterr().err
-        assert "no stable analysis below truncation 4096 (m^15 needs truncation above 2050)" in err
+        assert main(["analyze", str(path), "--json"]) == 0
+        assert tried == [180, 360, 720, 1440, 2880] and certified == [4096]
+        report = json.loads(capsys.readouterr().out)
+        assert (report["truncation"], report["stable"], report["conductor"]) == (4096, True, 1480)
 
     def test_tries_that_cannot_certify_are_skipped(self, tmp_path, capsys, monkeypatch):
         # below 3000 + 1 + e no run of e certified values fits, so no
-        # truncation of 100 .. 2048 closes the ring; the CLI refuses the
-        # degree before it parses the file
+        # truncation of 100 .. 1600 closes the ring, and 3200 certifies it;
+        # the CLI refuses the degree before it parses the file
         tried = record_tries(monkeypatch)
         spec = branchinv.branch.BranchSpec.from_strings(["t^2", "t^3+t^3000"])
-        with pytest.raises(TruncationExhausted) as exc:
-            branchinv.branch.analyze(spec, initial_truncation=100)
-        assert str(exc.value) == (
-            "no stable analysis below truncation 4096 (no certified conductor run)")
+        ring = branchinv.branch.analyze(spec, initial_truncation=100)
+        assert (ring.truncation, ring.conductor_c, ring.stable) == (3200, 2, True)
+        assert tried == [3200]
         path = write(tmp_path, "wide.branch", "t^2\nt^3+t^3000\n")
         assert main(["analyze", path, "--json", "--truncation", "100"]) == 3
-        assert tried == []
+        assert tried == [3200]
         assert capsys.readouterr().err == (
-            f"error: {path}:2: generator degree 3000 needs truncation at least 3002, "
-            "above the largest truncation tried, 2048 (at position 6)\n")
+            f"error: {path}:2: generator degree 3000 needs truncation at least 12016, "
+            "above the cap 4096 (at position 6)\n")
 
     def test_verification_mismatch_exits_4(self, plane49_file, capsys, monkeypatch):
         perturb_verification(monkeypatch)
@@ -446,7 +456,7 @@ def certified_branches(tmp_path_factory):
         path = tmp_path_factory.mktemp("certified") / "b.branch"
         path.write_text("\n".join(texts) + "\n", encoding="utf-8")
         spec = read_branch_file(str(path))
-        out.append((str(path), branchinv.branch.analyze(spec, room=branchinv.cli.required_truncation)))
+        out.append((str(path), branchinv.branch.analyze(spec)))
     return out
 
 

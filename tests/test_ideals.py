@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import branchinv.ideals
 from branchinv.branch import m_power_basis
-from branchinv.cli import _ideal_section, read_ideal_file
+from branchinv.cli import _ideal_section, read_ideal_file, required_truncation
 from branchinv.echelon import _Builder, close_under, quotient_dim
 from branchinv.errors import (
     InsufficientTruncation,
@@ -512,11 +512,12 @@ def assert_tail_matches_uncut(full, tailed, rng, lo, bounds):
 class TestTailOracle:
     def test_tailed_closures_match_uncut(self, corpus):
         # D, D^-1, t^c D and m D, closed from their a-priori tail c + vmin,
-        # and m^2 .. m^(s+1) from c + d*e, equal the closures run to N
+        # and m^2 .. m^(s+1) from c + d*e, equal the closures run to the N
+        # the CLI reports
         rng = random.Random(6)
         for diff in corpus:
             ring = diff.ring
-            N, c, gens = ring.truncation, ring.conductor_c, ring.generators
+            N, c, gens = required_truncation(ring), ring.conductor_c, ring.generators
             D = diff.D
             ideals = {
                 "D": D,

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from branchinv.berger import REGULAR, verdict
 from branchinv.branch import BranchSpec, analyze
-from branchinv.cli import required_truncation
 from branchinv.differentials import compute
 from branchinv.series import TruncatedSeries
 
@@ -40,7 +39,7 @@ A_VALUES = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
 
 
 def invariants(gens):
-    ring = analyze(BranchSpec(tuple(gens)), room=required_truncation)
+    ring = analyze(BranchSpec(tuple(gens)))
     diff = compute(ring)
     v = verdict(diff)
     outcome = "R0" if v.status == REGULAR else v.rule if v.rule in EARLY_RULES else None
