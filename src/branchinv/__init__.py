@@ -29,7 +29,7 @@ from .ideals import (
     trace,
 )
 from .semigroup import SemigroupData, sieve
-from .series import INF, TruncatedSeries, parse_poly, parse_series
+from .series import INF, TruncatedSeries, parse_poly
 
 __all__ = [
     "BranchSpec",
@@ -55,7 +55,6 @@ __all__ = [
     "min_generators",
     "normalization_ideal",
     "parse_poly",
-    "parse_series",
     "product",
     "quotient_dim",
     "realizes_itself",

@@ -16,8 +16,10 @@ Exit codes:
 
     0   the analysis completed (whatever the verdict)
     2   input error: unreadable file, parse error (parentheses nest at most
-        100 deep), invalid or imprimitive parametrization, a zero ideal
-        generator, ``--truncation`` < 1
+        100 deep, integers have at most 2457 digits, and a power or product
+        whose coefficients could pass ``series.MAX_COEFFICIENT_BITS`` is
+        refused uncomputed), invalid or imprimitive parametrization, a zero
+        ideal generator, ``--truncation`` < 1
     3   no certified analysis fits under ``--max-truncation`` (default 4096);
         the cap holds for the first truncation, every retry (the last try is
         the cap, with or without ``--no-verify``), the truncation reported
@@ -28,7 +30,8 @@ Exit codes:
         ``--truncation`` and ``--no-verify`` say.  An ``--ideal``
         generator of degree past M + k, under ``shift: k`` with k >= 0, or
         past M, with k < 0, is refused unexpanded as well: no ideal closure
-        reads at or past M
+        reads at or past M.  ``semigroup`` refuses a sieve past
+        ``semigroup.MAX_SIEVE_BOUND`` values before allocating it
     4   two independent routes to the same quantity disagreed
         (``InternalInconsistency``); no results are reported
 """
@@ -51,6 +54,7 @@ from .errors import (
     InternalInconsistency,
     NotAnIntegralIdeal,
     ParseError,
+    SieveLimitExceeded,
     TruncationExhausted,
 )
 from .ideals import from_generators, h_invariant, inverse, realizes_itself, trace
@@ -363,6 +367,9 @@ def cmd_semigroup(args) -> int:
     except GcdNotOne as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SieveLimitExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if args.json:
         print(json.dumps({
             "generators": list(data.generators),

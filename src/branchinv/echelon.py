@@ -26,6 +26,10 @@ that run, closed under +e, puts every valuation >= T in the value set, so
 t^T k[[t]] lies in the module and the rows below T are exact at every
 truncation.  Without the run the claimed tail is refused.
 
+Series are exact polynomials; a basis reads each one below its own tail, or
+below N when it has no tail, and :meth:`EchelonBasis.reduce` returns its
+remainder cut there.
+
 A basis with a tail can be checked for closure without a fixpoint:
 :func:`closure_defect` multiplies each stored row by each multiplier once
 and reduces the product, cut below the tail, against the rows.
@@ -208,9 +212,9 @@ class EchelonBasis:
             row = self._rows[v]
             lead = row[v]
             terms = {e: Fraction(a, lead) for e, a in row.items()}
-            out[v] = TruncatedSeries.from_terms(terms, self.truncation)
+            out[v] = TruncatedSeries.from_terms(terms)
         for v in range(self._tail(), self.truncation):
-            out[v] = TruncatedSeries.t_power(v, truncation=self.truncation)
+            out[v] = TruncatedSeries.t_power(v)
         return out
 
     def gaps_below(self, bound: int, start: int = 0) -> tuple[int, ...]:
@@ -244,23 +248,13 @@ class EchelonBasis:
     # -- operations ---------------------------------------------------------
 
     def reduce(self, f: TruncatedSeries) -> TruncatedSeries:
-        """Remainder of f after eliminating every pivot coefficient.
-
-        The result is exact below min(truncation of f, truncation of basis)
-        and is zero iff f lies in the span modulo that window.
-        """
-        out_trunc = min(f.truncation, self.truncation)
-        num, den = _vec_from_series(f, min(out_trunc, self._tail()))
-        num, den = _reduce_vec(num, den, self._rows)
-        terms = {e: Fraction(a, den) for e, a in num.items() if e < out_trunc}
-        return TruncatedSeries.from_terms(terms, out_trunc)
+        """Remainder of f, cut below the tail, after eliminating every pivot
+        coefficient; zero iff f lies in the span modulo t^N."""
+        num, den = _reduce_vec(*_vec_from_series(f, self._tail()), self._rows)
+        return TruncatedSeries.from_terms({e: Fraction(a, den) for e, a in num.items()})
 
     def member(self, f: TruncatedSeries, bound: int) -> bool:
         """Is f in the span modulo t^bound?  Exact when bound is a membership threshold."""
-        if f.truncation < bound:
-            raise InsufficientTruncation(
-                f"membership at bound {bound} needs the candidate known to t^{bound}"
-            )
         if self.truncation < bound:
             raise InsufficientTruncation(
                 f"membership at bound {bound} needs the basis known to t^{bound}"
@@ -270,11 +264,6 @@ class EchelonBasis:
 
     def insert(self, f: TruncatedSeries):
         """Return (basis, changed); a new pivot is fully back-reduced into place."""
-        if not f.is_zero() and f.truncation < self.truncation:
-            raise InsufficientTruncation(
-                f"cannot insert a series known only to t^{f.truncation} "
-                f"into a basis at truncation t^{self.truncation}"
-            )
         b = _Builder(self._rows)
         if b.insert(*_vec_from_series(f, self._tail())) is None:
             return self, False
@@ -303,23 +292,11 @@ def close_under(seed: Sequence[TruncatedSeries], multipliers: Sequence[Truncated
 
     mults = []
     for m in multipliers:
-        if m.vstar() < 1:
+        if m.valuation() < 1:
             raise NonPositiveMultiplierValuation(
                 f"multiplier {m} has valuation {m.valuation()}; need >= 1"
             )
-        needed = N - min(0, floor)
-        if m.truncation < needed:
-            raise InsufficientTruncation(
-                f"multiplier known to t^{m.truncation} but closure at t^{N} "
-                f"with window floor {floor} needs t^{needed}"
-            )
-        mults.append(_vec_from_series(m, needed))
-
-    for s in seeds:
-        if s.truncation < N:
-            raise InsufficientTruncation(
-                f"seed known to t^{s.truncation} but closure runs to t^{N}"
-            )
+        mults.append(_vec_from_series(m, N - min(0, floor)))
 
     b = _Builder()
     queue = [_vec_from_series(s, N) for s in seeds]

@@ -79,6 +79,10 @@ class GcdNotOne(BranchInvError):
     pass
 
 
+class SieveLimitExceeded(BranchInvError):
+    pass
+
+
 class DomainError(BranchInvError):
     pass
 

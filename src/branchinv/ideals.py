@@ -3,8 +3,8 @@
 Everything rests on two exact-membership thresholds: f belongs to R iff it
 does so mod t^c (the conductor ideal t^c k[[t]] sits inside R), and f belongs
 to an R-module M iff it does so mod t^(c + vmin(M)) (since t^(c+vmin) k[[t]]
-is contained in the conductor times M).  These convert truncated data into
-exact answers everywhere below.
+is contained in the conductor times M).  These turn computations mod a
+power of t into exact answers everywhere below.
 
 The second threshold is also each ideal's tail, known before its closure
 runs: `from_generators` closes M with the a-priori tail c + vmin, so the
@@ -33,7 +33,6 @@ from .branch import RingData
 from .echelon import (EchelonBasis, _Builder, _reduce_vec, _vec_from_series, close_under,
                       quotient_dim)
 from .errors import (
-    InsufficientTruncation,
     InternalInconsistency,
     NotAnIntegralIdeal,
     NotInNormalization,
@@ -106,14 +105,7 @@ def _reduction_columns(ring: RingData, gens, w_lo: int, w_hi: int):
     """
     c = ring.conductor_c
     rows = ring.ring_basis._rows
-    vecs = []
-    for g in gens:
-        if g.truncation + w_lo < c:
-            raise InsufficientTruncation(
-                f"generator known to t^{g.truncation} cannot support membership "
-                f"constraints at shift {w_lo}"
-            )
-        vecs.append(_vec_from_series(g, c - w_lo))
+    vecs = [_vec_from_series(g, c - w_lo) for g in gens]
     cols = {}
     for w in range(w_lo, w_hi + 1):
         parts = []

@@ -10,7 +10,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .errors import GcdNotOne
+from .errors import GcdNotOne, SieveLimitExceeded
+
+#: Largest sieve :func:`sieve` allocates; <1000, 1001> needs 10^6 values.
+MAX_SIEVE_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -26,10 +29,12 @@ class SemigroupData:
 def sieve(generators: Sequence[int]) -> SemigroupData:
     """Gaps, Frobenius number, conductor, delta, and symmetry of <a_1,...,a_n>.
 
-    Requires positive generators with gcd 1.  The sieve is certified once a
-    run of min(generators) consecutive values is achieved: the semigroup is
-    closed under adding its least element, so everything beyond the run is
-    achieved too.
+    Requires positive generators with gcd 1.  The sieve runs to
+    (a_1 - 1)(a_n - 1) + a_1, a_1 and a_n the least and largest generator:
+    the Frobenius number lies below (a_1 - 1)(a_n - 1) (Schur's bound), so
+    the sieve ends in a run of a_1 achieved values, and the semigroup, closed
+    under adding a_1, holds everything beyond.  A sieve past
+    :data:`MAX_SIEVE_BOUND` values is refused before it is allocated.
     """
     gens = tuple(sorted(set(int(a) for a in generators)))
     if not gens or gens[0] <= 0:
@@ -44,18 +49,17 @@ def sieve(generators: Sequence[int]) -> SemigroupData:
     if e == 1:
         return SemigroupData(gens, (), -1, 0, 0, True)
 
-    bound = max((gens[0] - 1) * (gens[-1] - 1) + 1, gens[-1] + e + 1)
-    while True:
-        achieved = [False] * bound
-        achieved[0] = True
-        for v in range(e, bound):
-            for a in gens:
-                if v >= a and achieved[v - a]:
-                    achieved[v] = True
-                    break
-        if all(achieved[bound - e : bound]):
-            break
-        bound *= 2  # gcd is 1, so a full run of e exists eventually
+    bound = (e - 1) * (gens[-1] - 1) + e
+    if bound > MAX_SIEVE_BOUND:
+        raise SieveLimitExceeded(
+            f"the sieve of {bound} values is above the limit {MAX_SIEVE_BOUND}")
+    achieved = [False] * bound
+    achieved[0] = True
+    for v in range(e, bound):
+        for a in gens:
+            if v >= a and achieved[v - a]:
+                achieved[v] = True
+                break
 
     frobenius = max(v for v in range(bound) if not achieved[v])
     c = frobenius + 1

@@ -1,12 +1,10 @@
-"""Exact truncated power/Laurent series in one variable t, and a parser for
-polynomial expressions in t over the rationals.
+"""Exact Laurent polynomials in one variable t, and a parser for polynomial
+expressions in t over the rationals.
 
 A :class:`TruncatedSeries` stores exact rational coefficients from a starting
-exponent (which may be negative) up to, but not including, a truncation
-exponent.  Everything at or beyond the truncation is unknown, and every
-operation reports the tightest truncation it can certify for its result.
-Polynomials are represented as series with infinite truncation: they are
-known exactly.
+exponent (which may be negative) to its degree.  Sums, products, shifts and
+derivatives stay exact.  Where a computation needs only the coefficients
+below some t^N, as the echelon bases do, the reader makes the cut.
 
 The grammar accepted by :func:`parse_poly` (whitespace insignificant)::
 
@@ -17,21 +15,20 @@ The grammar accepted by :func:`parse_poly` (whitespace insignificant)::
     rational := int ('/' positive-int)?
 
 Implicit multiplication is rejected: write ``2*t``, not ``2t``.  Parentheses
-nest at most :data:`MAX_NESTING` deep.
+nest at most :data:`MAX_NESTING` deep, and no power or product may build a
+coefficient past :data:`MAX_COEFFICIENT_BITS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import lcm
+from typing import Iterable, Mapping
 
-from .errors import DegreeLimitExceeded, InsufficientTruncation, ParseError
+from .errors import DegreeLimitExceeded, ParseError
 
-INF = float("inf")
-
-Exponent = int
-Truncation = Union[int, float]  # int, or INF for exactly-known series
+INF = float("inf")  # the valuation of the zero series, and minus its degree
 
 
 def _as_fraction(x) -> Fraction:
@@ -44,24 +41,19 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """An exact rational series sum c_j t^(offset+j), known for exponents < truncation.
+    """An exact rational Laurent polynomial sum c_j t^(offset+j).
 
-    Invariants: if any stored coefficient is nonzero, the first one is nonzero
-    (so ``valuation() == offset``); trailing zeros are stripped; the zero
-    series is stored as ``offset=0, coeffs=()`` at any truncation.
+    Invariants: if any coefficient is stored, the first and the last are
+    nonzero (so ``valuation() == offset``); the zero polynomial is stored as
+    ``offset=0, coeffs=()``.
     """
 
     offset: int
     coeffs: tuple[Fraction, ...]
-    truncation: Truncation = INF
 
     def __post_init__(self):
         coeffs = [_as_fraction(c) for c in self.coeffs]
         offset = self.offset
-        # drop coefficients at exponents >= truncation
-        if self.truncation != INF:
-            keep = int(self.truncation) - offset
-            coeffs = coeffs[: max(keep, 0)]
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
             offset += 1
@@ -69,112 +61,91 @@ class TruncatedSeries:
             coeffs.pop()
         if not coeffs:
             offset = 0
-        if coeffs and self.truncation != INF and offset >= self.truncation:
-            coeffs, offset = [], 0
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, truncation: Truncation = INF) -> "TruncatedSeries":
-        return cls(0, (), truncation)
+    def zero(cls) -> "TruncatedSeries":
+        return cls(0, ())
 
     @classmethod
-    def one(cls, truncation: Truncation = INF) -> "TruncatedSeries":
-        return cls(0, (Fraction(1),), truncation)
+    def one(cls) -> "TruncatedSeries":
+        return cls(0, (Fraction(1),))
 
     @classmethod
-    def t_power(cls, e: int, coeff=1, truncation: Truncation = INF) -> "TruncatedSeries":
-        return cls(e, (_as_fraction(coeff),), truncation)
+    def t_power(cls, e: int, coeff=1) -> "TruncatedSeries":
+        return cls(e, (_as_fraction(coeff),))
 
     @classmethod
-    def from_terms(cls, terms: Mapping[int, Fraction], truncation: Truncation = INF) -> "TruncatedSeries":
+    def from_terms(cls, terms: Mapping[int, Fraction]) -> "TruncatedSeries":
         items = {e: _as_fraction(c) for e, c in terms.items() if c != 0}
         if not items:
-            return cls.zero(truncation)
+            return cls.zero()
         lo, hi = min(items), max(items)
         coeffs = [items.get(e, Fraction(0)) for e in range(lo, hi + 1)]
-        return cls(lo, tuple(coeffs), truncation)
+        return cls(lo, tuple(coeffs))
 
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        """True when no known coefficient is nonzero (zero up to truncation)."""
         return not self.coeffs
 
-    def valuation(self) -> Truncation:
+    def valuation(self) -> int | float:
         """Exponent of the lowest nonzero term; INF for the zero series."""
         return self.offset if self.coeffs else INF
-
-    def vstar(self) -> Truncation:
-        # valuation capped at truncation; what multiplication bookkeeping needs
-        return min(self.valuation(), self.truncation)
 
     def terms(self) -> dict[int, Fraction]:
         return {self.offset + j: c for j, c in enumerate(self.coeffs) if c != 0}
 
     def coefficient(self, e: int) -> Fraction:
-        if e >= self.truncation:
-            raise InsufficientTruncation(
-                f"coefficient of t^{e} requested but series only known below t^{self.truncation}"
-            )
         j = e - self.offset
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
         return Fraction(0)
 
-    def degree(self) -> Truncation:
-        """Largest exponent with a known nonzero coefficient; -INF for zero."""
+    def degree(self) -> int | float:
+        """Largest exponent with a nonzero coefficient; -INF for zero."""
         return self.offset + len(self.coeffs) - 1 if self.coeffs else -INF
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        trunc = min(self.truncation, other.truncation)
         terms = self.terms()
         for e, c in other.terms().items():
             terms[e] = terms.get(e, Fraction(0)) + c
-        return TruncatedSeries.from_terms(terms, trunc)
+        return TruncatedSeries.from_terms(terms)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.offset, tuple(-c for c in self.coeffs), self.truncation)
+        return TruncatedSeries(self.offset, tuple(-c for c in self.coeffs))
 
     def scale(self, a) -> "TruncatedSeries":
         a = _as_fraction(a)
-        if a == 0:
-            return TruncatedSeries.zero(self.truncation)
-        return TruncatedSeries(self.offset, tuple(a * c for c in self.coeffs), self.truncation)
+        return TruncatedSeries(self.offset, tuple(a * c for c in self.coeffs))
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        trunc = min(self.truncation + other.vstar(), other.truncation + self.vstar())
         out: dict[int, Fraction] = {}
         for e1, c1 in self.terms().items():
             for e2, c2 in other.terms().items():
-                e = e1 + e2
-                if e >= trunc:
-                    continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return TruncatedSeries.from_terms(out, trunc)
+                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+        return TruncatedSeries.from_terms(out)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k (k may be negative)."""
-        return TruncatedSeries(self.offset + k, self.coeffs, self.truncation + k)
+        return TruncatedSeries(self.offset + k, self.coeffs)
 
     def derivative(self) -> "TruncatedSeries":
-        """Termwise d/dt; the truncation drops by one."""
+        """Termwise d/dt."""
         terms = {e - 1: e * c for e, c in self.terms().items() if e != 0}
-        return TruncatedSeries.from_terms(terms, self.truncation - 1)
-
-    def truncate(self, bound: Truncation) -> "TruncatedSeries":
-        return TruncatedSeries(self.offset, self.coeffs, min(self.truncation, bound))
+        return TruncatedSeries.from_terms(terms)
 
     # -- display -----------------------------------------------------------
 
@@ -184,8 +155,7 @@ class TruncatedSeries:
         return format_terms(self.terms())
 
     def __repr__(self) -> str:
-        t = "inf" if self.truncation == INF else str(self.truncation)
-        return f"TruncatedSeries({self}, truncation={t})"
+        return f"TruncatedSeries({self})"
 
 
 def format_terms(terms: Mapping[int, Fraction]) -> str:
@@ -217,6 +187,27 @@ _OPS = set("+-*^/()")
 #: Deepest parenthesis nesting :func:`parse_poly` accepts.
 MAX_NESTING = 100
 
+#: Largest coefficient size, in bits, that a power or product may build.
+MAX_COEFFICIENT_BITS = 8192
+
+# 10^d < 2^(10d/3): an integer of at most this many digits stays under the
+# bit limit, and under Python's default limit of 4300 digits on int <-> str
+_MAX_DIGITS = MAX_COEFFICIENT_BITS * 3 // 10
+
+
+def _ceil_log2(x: int) -> int:
+    return (x - 1).bit_length()
+
+
+def _size_bits(f: TruncatedSeries) -> int:
+    """ceil(log2 max(H, L)), L the lcm of f's denominators and H the largest
+    coefficient of the integral L*f.  With n terms in f, the numerators of
+    f^k are at most (nH)^k and its denominators divide L^k; a product f*g is
+    bounded alike, by min(n_f, n_g) H_f H_g and L_f L_g."""
+    L = lcm(*(c.denominator for c in f.coeffs))
+    H = max(abs(c.numerator) * (L // c.denominator) for c in f.coeffs)
+    return _ceil_log2(max(H, L))
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     # tokens: ("int", digits, pos), ("t", "t", pos), (op, op, pos)
@@ -231,6 +222,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > _MAX_DIGITS:
+                raise ParseError(f"integer of {j - i} digits is longer than {_MAX_DIGITS}", i)
             tokens.append(("int", text[i:j], i))
             i = j
             continue
@@ -257,7 +250,9 @@ class _Parser:
     Each parenthesis level costs four stack frames, so nesting is capped at
     :data:`MAX_NESTING` and deeper input is a :class:`ParseError`, not a
     ``RecursionError``.  A power or product whose degree would pass
-    `max_degree` is refused before it is expanded.
+    `max_degree` is refused before it is expanded, and so is one whose
+    coefficients could pass :data:`MAX_COEFFICIENT_BITS`; the degree is
+    checked first.
     """
 
     def __init__(self, text: str, max_degree: int | None = None):
@@ -269,6 +264,12 @@ class _Parser:
     def check_degree(self, degree, pos: int):
         if self.max_degree is not None and degree > self.max_degree:
             raise DegreeLimitExceeded(degree, self.max_degree, pos)
+
+    @staticmethod
+    def check_bits(bits: int, pos: int):
+        if bits > MAX_COEFFICIENT_BITS:
+            raise ParseError(
+                f"coefficients of up to {bits} bits pass the limit of {MAX_COEFFICIENT_BITS}", pos)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -314,6 +315,8 @@ class _Parser:
                 rhs = self.factor()
                 if not (poly.is_zero() or rhs.is_zero()):
                     self.check_degree(poly.degree() + rhs.degree(), tok[2])
+                    terms = min(len(poly.coeffs), len(rhs.coeffs))
+                    self.check_bits(_size_bits(poly) + _size_bits(rhs) + _ceil_log2(terms), tok[2])
                 poly = poly * rhs
             elif tok[0] in ("t", "int", "("):
                 raise ParseError(
@@ -335,6 +338,7 @@ class _Parser:
                 raise ParseError("non-integer exponent", self.peek()[2])
             if not poly.is_zero():
                 self.check_degree(poly.degree() * exponent, tok[2])
+                self.check_bits(exponent * (_size_bits(poly) + _ceil_log2(len(poly.coeffs))), tok[2])
             poly = _power(poly, exponent)
         return poly
 
@@ -369,7 +373,7 @@ class _Parser:
 def _power(f: TruncatedSeries, k: int) -> TruncatedSeries:
     """f^k: a^k t^(d*k) at once for an exact one-term f = a t^d, otherwise by
     repeated squaring."""
-    if len(f.coeffs) == 1 and f.truncation == INF:
+    if len(f.coeffs) == 1:
         return TruncatedSeries.t_power(f.offset * k, f.coeffs[0] ** k)
     out = TruncatedSeries.one()
     while k:
@@ -382,16 +386,12 @@ def _power(f: TruncatedSeries, k: int) -> TruncatedSeries:
 
 
 def parse_poly(text: str, max_degree: int | None = None) -> TruncatedSeries:
-    """Parse an exact polynomial in t into a series known exactly (INF truncation).
+    """Parse an exact polynomial in t.
 
     Raises :class:`ParseError` with a position, and :class:`DegreeLimitExceeded`
     when a power or product would pass `max_degree`.
     """
     return _Parser(text, max_degree).parse()
-
-
-def parse_series(text: str, truncation: Truncation = INF) -> TruncatedSeries:
-    return parse_poly(text).truncate(truncation)
 
 
 def monomials(gens: Iterable[TruncatedSeries], degree: int) -> list[TruncatedSeries]:

@@ -64,6 +64,19 @@ def plane49_file(tmp_path):
     return write(tmp_path, "plane49.branch", "name: plane49\nt^4+t^5\nt^9\n")
 
 
+# (test id suffix, a bad second generator line, the error it ends in)
+BAD_SECOND_LINES = [
+    ("", "t^-1", "exponent must be a nonnegative integer (at position 2)"),
+    # coefficient blow-ups are refused before the power is computed
+    ("-huge-power", "t^3 + 2^100000000000*t^5",
+     "coefficients of up to 100000000000 bits pass the limit of 8192 (at position 8)"),
+    ("-large-power", "t^3 + 2^10000000*t^5",
+     "coefficients of up to 10000000 bits pass the limit of 8192 (at position 8)"),
+    ("-long-integer", "t^3 + " + "9" * 5000 + "*t^5",
+     "integer of 5000 digits is longer than 2457 (at position 6)"),
+]
+
+
 class TestBranchFiles:
     def test_comments_and_name_header(self, tmp_path):
         path = write(tmp_path, "b.branch", "# a comment\nname: demo\n\nt^2\nt^3\n")
@@ -77,14 +90,15 @@ class TestBranchFiles:
         err = capsys.readouterr().err
         assert ":2:" in err
 
-    @pytest.mark.parametrize("flag", [None, "--ideal"])
-    def test_parse_error_prints_position_once(self, tmp_path, capsys, flag):
-        bad = write(tmp_path, "bad.branch", "t^2\nt^-1\n")
+    @pytest.mark.parametrize("flag, line, message", [
+        pytest.param(flag, line, message, id=f"{flag}{suffix}")
+        for suffix, line, message in BAD_SECOND_LINES for flag in (None, "--ideal")])
+    def test_parse_error_prints_position_once(self, tmp_path, capsys, flag, line, message):
+        bad = write(tmp_path, "bad.branch", f"t^2\n{line}\n")
         argv = ["analyze", bad] if flag is None else [
             "analyze", write(tmp_path, "c.branch", "t^2\nt^3\n"), "--ideal", bad]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: {bad}:2: exponent must be a nonnegative integer (at position 2)\n")
+        assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
 
     def test_zero_ideal_generator_is_input_error(self, tmp_path, capsys):
         branch = write(tmp_path, "c.branch", "t^2\nt^3\n")
@@ -519,6 +533,14 @@ class TestSemigroupCommand:
 
     def test_gcd_not_one_rejected(self, capsys):
         assert main(["semigroup", "4", "6"]) == 2
+
+    def test_sieve_limit_exits_3(self, capsys):
+        # <100000, 100001> would sieve 10^10 values; none is allocated
+        assert main(["semigroup", "100000", "100001"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the sieve of 10000000000 values is above the limit 1048576\n")
 
     def test_text_output(self, capsys):
         assert main(["semigroup", "2", "3"]) == 0

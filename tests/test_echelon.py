@@ -14,15 +14,11 @@ from branchinv.errors import (
     UncertifiedTail,
 )
 from branchinv.semigroup import sieve
-from branchinv.series import TruncatedSeries, parse_series
+from branchinv.series import TruncatedSeries, parse_poly
 from conftest import at
 
 one = TruncatedSeries.one
-
-
-def t(expr, truncation=None):
-    s = parse_series(expr)
-    return s if truncation is None else s.truncate(truncation)
+t = parse_poly
 
 
 class TestReduce:
@@ -64,11 +60,6 @@ class TestInsert:
         basis = close_under([t("t^4+t^5")], [t("t^20")], 10)
         basis2, changed = basis.insert(t("3*t^4+3*t^5"))
         assert not changed and basis2 is basis
-
-    def test_insert_rejects_underresolved_series(self):
-        basis = close_under([t("t^4+t^5")], [t("t^20")], 10)
-        with pytest.raises(InsufficientTruncation):
-            basis.insert(t("t^6", truncation=8))
 
 
 class TestCloseUnder:
@@ -139,8 +130,6 @@ class TestMember:
     def test_insufficient_truncation_raises(self):
         basis = close_under([one()], [t("t^2"), t("t^3")], 10)
         with pytest.raises(InsufficientTruncation):
-            basis.member(t("t^2", truncation=5), 8)
-        with pytest.raises(InsufficientTruncation):
             basis.member(t("t^2"), 11)
 
 
@@ -180,12 +169,33 @@ small_series = st.dictionaries(
 ).map(lambda d: TruncatedSeries.from_terms(d))
 
 
+far_series = st.dictionaries(
+    st.integers(min_value=0, max_value=60),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    min_size=1, max_size=6,
+).map(lambda d: TruncatedSeries.from_terms(d))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(small_series, min_size=1, max_size=3), small_series)
-def test_member_agrees_with_reduce(seeds, f):
-    basis = close_under(seeds, [parse_series("t^2"), parse_series("t^3")], 12)
-    bound = 8
+@given(st.lists(small_series, min_size=1, max_size=3), st.one_of(small_series, far_series),
+       st.booleans())
+def test_member_agrees_with_reduce(seeds, f, tailed):
+    # f may reach well past N: the basis cuts it below its tail, or below N
+    # without one.  The R-span of the seeds, R = k[[t^2, t^3]] of conductor 2,
+    # holds t^(2 + vmin) k[[t]], a tail known in advance
+    mults = [t("t^2"), t("t^3")]
+    seeds = [s for s in seeds if not s.is_zero()]
+    if tailed and seeds:
+        basis = close_under(seeds, mults, tail_from=2 + min(s.valuation() for s in seeds))
+    else:
+        basis = close_under(seeds, mults, 12)
+    cut = basis.truncation if basis.tail_from is None else basis.tail_from
     r = basis.reduce(f)
+    assert all(e < cut for e in r.terms())
+    assert basis.member(f, cut) == r.is_zero()
+    below = TruncatedSeries.from_terms({e: c for e, c in f.terms().items() if e < cut})
+    assert basis.reduce(below) == r
+    bound = min(8, basis.truncation)
     assert basis.member(f, bound) == all(e >= bound for e in r.terms())
 
 
@@ -197,7 +207,7 @@ def test_monomial_pivots_equal_semigroup_sieve(gens):
     for a in gens:
         g = gcd(g, a)
     N = 30
-    basis = close_under([one()], [parse_series(f"t^{a}") for a in gens], N)
+    basis = close_under([one()], [parse_poly(f"t^{a}") for a in gens], N)
     achieved = set()
     frontier = [0]
     seen = {0}

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchinv.errors import DegreeLimitExceeded, InsufficientTruncation, ParseError
+from branchinv.errors import DegreeLimitExceeded, ParseError
 from branchinv.series import (
     INF,
+    MAX_COEFFICIENT_BITS,
     MAX_NESTING,
     TruncatedSeries,
     _power,
     parse_poly,
-    parse_series,
 )
 
 
@@ -27,69 +27,51 @@ def conv_oracle(a: dict, b: dict) -> dict:
 
 class TestValuation:
     def test_polynomial(self):
-        assert parse_series("t^8+t^9").derivative().valuation() == 7
+        assert parse_poly("t^8+t^9").derivative().valuation() == 7
 
     def test_zero_series_is_infinite(self):
-        assert TruncatedSeries.zero(10).valuation() == INF
         assert TruncatedSeries.zero().valuation() == INF
+        assert TruncatedSeries.zero().degree() == -INF
 
     def test_laurent_leading_term(self):
         f = TruncatedSeries.from_terms({-3: Fraction(1), 1: Fraction(1)})
         assert f.valuation() == -3
+        assert [f.coefficient(e) for e in (-4, -3, 0, 1, 2)] == [0, 1, 0, 1, 0]
 
     def test_normalization_strips_leading_zeros(self):
-        f = TruncatedSeries(0, (Fraction(0), Fraction(0), Fraction(5)), 10)
-        assert f.offset == 2 and f.valuation() == 2
+        f = TruncatedSeries(0, (Fraction(0), Fraction(0), Fraction(5), Fraction(0)))
+        assert (f.offset, f.coeffs, f.valuation()) == (2, (Fraction(5),), 2)
 
 
 class TestArithmetic:
     def test_monomial_product(self):
-        assert (parse_series("t^2") * parse_series("t^3")).terms() == {5: Fraction(1)}
+        assert (parse_poly("t^2") * parse_poly("t^3")).terms() == {5: Fraction(1)}
 
-    def test_difference_of_squares_respects_truncation(self):
-        f = parse_series("1+t", truncation=4)
-        g = parse_series("1-t", truncation=4)
-        h = f * g
+    def test_difference_of_squares(self):
+        h = parse_poly("1+t") * parse_poly("1-t")
         assert h.terms() == {0: Fraction(1), 2: Fraction(-1)}
-        assert h.truncation == 4
 
     def test_square_against_convolution_oracle(self):
-        f = parse_series("t^4+t^5")
+        f = parse_poly("t^4+t^5")
         expected = conv_oracle(f.terms(), f.terms())
         assert (f * f).terms() == expected
         assert expected == {8: Fraction(1), 9: Fraction(2), 10: Fraction(1)}
 
-    def test_product_truncation_rule(self):
-        # truncation of f*g is min(N_f + v(g), N_g + v(f))
-        f = TruncatedSeries.from_terms({2: Fraction(1)}, truncation=6)
-        g = TruncatedSeries.from_terms({3: Fraction(1)}, truncation=5)
-        assert (f * g).truncation == min(6 + 3, 5 + 2)
-
-    def test_unknown_coefficient_raises(self):
-        f = parse_series("t", truncation=4)
-        with pytest.raises(InsufficientTruncation):
-            f.coefficient(4)
-        assert f.coefficient(3) == 0
-
     def test_scalar_and_shift(self):
-        f = parse_series("t^2+t^3")
+        f = parse_poly("t^2+t^3")
         assert (f * Fraction(1, 2)).terms() == {2: Fraction(1, 2), 3: Fraction(1, 2)}
         assert f.shift(-2).terms() == {0: Fraction(1), 1: Fraction(1)}
 
 
 class TestDerivative:
     def test_known_values(self):
-        assert parse_series("t^8+t^9").derivative().terms() == {
+        assert parse_poly("t^8+t^9").derivative().terms() == {
             7: Fraction(8), 8: Fraction(9)}
-        assert parse_series("t^4+t^5").derivative().terms() == {
+        assert parse_poly("t^4+t^5").derivative().terms() == {
             3: Fraction(4), 4: Fraction(5)}
 
     def test_constant(self):
-        assert parse_series("1").derivative().is_zero()
-
-    def test_truncation_drops(self):
-        f = parse_series("t^2", truncation=9)
-        assert f.derivative().truncation == 8
+        assert parse_poly("1").derivative().is_zero()
 
 
 small_polys = st.dictionaries(
@@ -136,7 +118,7 @@ class TestParser:
 
     def test_identity(self):
         f = parse_poly("t")
-        assert f.terms() == {1: Fraction(1)} and f.truncation == INF
+        assert f.terms() == {1: Fraction(1)} and f.degree() == 1
 
     def test_power_expansion_oracle(self):
         # (t^2+1)^2 expanded by the convolution oracle
@@ -181,6 +163,22 @@ class TestParser:
             with pytest.raises(DegreeLimitExceeded) as exc:
                 parse_poly(text, max_degree=4)
             assert (exc.value.degree, exc.value.position) == (degree, position)
+
+    def test_coefficient_limit(self):
+        # a power or product whose coefficients could pass the limit is
+        # refused unexpanded, at the operator; the degree is checked first
+        assert parse_poly(f"2^{MAX_COEFFICIENT_BITS}*t").degree() == 1
+        assert parse_poly("(1+t)^37 * (1/3 - t)^20").degree() == 57
+        for text, position in ((f"2^{MAX_COEFFICIENT_BITS + 1}", 2), ("t + 3^5000*t^2", 6),
+                               ("(2*t-1)^5000", 8), ("2^8000*2^8000", 6)):
+            with pytest.raises(ParseError, match="pass the limit") as exc:
+                parse_poly(text)
+            assert exc.value.position == position
+        with pytest.raises(DegreeLimitExceeded):
+            parse_poly("(2*t-1)^5000", max_degree=4)
+        with pytest.raises(ParseError, match="integer of 2458 digits") as exc:
+            parse_poly("t + " + "9" * 2458)
+        assert exc.value.position == 4
 
     def test_rational_literals(self):
         assert parse_poly("1/2*t + 3").terms() == {0: Fraction(3), 1: Fraction(1, 2)}
